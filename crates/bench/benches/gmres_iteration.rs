@@ -1,9 +1,9 @@
 //! Whole-solve wall time per storage format on a small suite problem
 //! (end-to-end counterpart of the `ortho` microbench).
 
-use bench::formats::{parse, solve};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use krylov::GmresOptions;
+use krylov::basis_format::{by_name, gmres_dyn};
+use krylov::{GmresOptions, Identity};
 
 fn bench_gmres(c: &mut Criterion) {
     let m = spla::suite::build("atmosmodd", 0.45).expect("matrix");
@@ -20,9 +20,9 @@ fn bench_gmres(c: &mut Criterion) {
     let mut g = c.benchmark_group("gmres_solve");
     g.sample_size(10);
     for fmt in ["float64", "float32", "float16", "frsz2_32"] {
-        let spec = parse(fmt).unwrap();
+        let format = by_name(fmt).unwrap();
         g.bench_with_input(BenchmarkId::from_parameter(fmt), fmt, |bch, _| {
-            bch.iter(|| solve(&a, &b, &x0, &opts, &spec))
+            bch.iter(|| gmres_dyn(&a, &b, &x0, &opts, &Identity, format.as_ref()))
         });
     }
     g.finish();

@@ -1,44 +1,11 @@
 //! Machine-readable perf harness: times the paper-critical paths (SpMV
-//! in every sparse format, FRSZ2 codec round-trip, CB-GMRES solves on
-//! CSR and on the auto-selected format, plus the adaptive-precision
-//! stagnation pair `cb_gmres_frsz2_16_fixed` / `cb_gmres_adaptive` on
-//! a similarity-scaled operator) at explicit thread counts and emits
-//! schema-stable `BENCH_<name>.json` files plus a combined
-//! `results/bench_json.csv`. The schema — field-by-field, with the
-//! v1→v8 changelog — is documented in `docs/bench-schema.md`.
-//!
-//! Schema v5 adds the `service` suite: eight mixed-format jobs over
-//! two operators cached by a long-lived `SolverService`, run
-//! sequentially and concurrently. The per-job fingerprints must match
-//! a 1-thread sequential reference byte for byte, and an
-//! admission-control probe must see its over-budget job rejected with
-//! a typed error.
-//!
-//! Schema v6 adds the `block` suite: the pinned `cb_gmres_frsz2_21`
-//! configuration solved for b ∈ {1, 4, 16} right-hand sides through
-//! the shared-space block driver (wide blocks at a width-scaled
-//! restart). The width-1 block case must reproduce the in-suite
-//! single-solve reference fingerprint byte for byte at every thread
-//! count; `time_per_rhs_ms` / `spmv_gb_per_rhs` record the evidence
-//! that b = 16 beats the pinned b = 1 case per RHS.
-//!
-//! Schema v7 adds the `sstep` suite: the pinned `cb_gmres_frsz2_21`
-//! configuration solved through the s-step driver for s ∈ {1, 2, 4, 8}.
-//! The s = 1 case must reproduce the in-suite single-solve reference
-//! fingerprint byte for byte at every thread count, and every s > 1
-//! case must converge to the same explicit target with strictly fewer
-//! basis decode sweeps than s = 1 — the committed evidence that the
-//! matrix-powers panel amortizes per-iteration decode traffic.
-//!
-//! Schema v8 adds the `faults` suite: the fault-tolerance layer under
-//! deterministic injected failures — a basis bit-flip, a Hessenberg
-//! NaN, a stagnating format rescued by retry-with-escalation, an
-//! injected panic, and a deadline breach resumed from its checkpoint
-//! bit-identically. Every case independently recomputes `‖b − Ax‖/‖b‖`
-//! and the suite aborts if any injected fault produces a false
-//! convergence (`undetected_corruptions` is pinned at 0); the
-//! checkpoint-overhead case proves the restart-boundary probe changes
-//! no bits and records its cost.
+//! in every sparse format, the FRSZ2 codec and fused basis kernels,
+//! CB-GMRES solves through the scalar, adaptive, block and s-step
+//! drivers, the `SolverService`, and the fault-tolerance layer) at
+//! explicit thread counts and emits one schema-stable
+//! `BENCH_<suite>.json` per suite plus a combined
+//! `results/bench_json.csv`. The schema, the case inventory and the
+//! check-group table are documented in `docs/bench-schema.md`.
 //!
 //! ```text
 //! bench_json [--quick] [--threads 1,2,4] [--runs N]
@@ -46,30 +13,27 @@
 //! bench_json --check-bidirectional BENCH_solve.json [MORE.json ...]
 //! ```
 //!
+//! Every suite is a table of cases driven by one case runner
+//! ([`run_case`]): one warm-up, `runs` timed repetitions under a pool
+//! of exactly `threads` threads, min/median/mean. Each row carries a
+//! **fingerprint**, FNV-1a over the bit patterns of the case's output
+//! ([`fnv`]). After a suite runs, [`check`] enforces its declared
+//! [`Rule`]s: every case must fingerprint-equal itself across thread
+//! counts, each equal-fingerprint group must agree at every thread
+//! count, and the per-case predicates (must converge, must stagnate,
+//! metric bounds) must hold. Any violation exits non-zero before the
+//! suite's document is written.
+//!
 //! `--check-bidirectional` re-reads committed solve documents and
 //! fails unless the `cb_gmres_adaptive_bidir` trajectory steps up the
-//! escalation ladder at least once and back down at least once after —
-//! the CI guard that keeps the committed artifact genuinely
-//! bidirectional.
-//!
-//! Every case records a **fingerprint** (FNV-1a over the bit patterns
-//! of its numeric output); the harness exits non-zero if any case's
-//! fingerprint differs between thread counts, between sparse matrix
-//! formats running the same computation (`spmv_csr` vs `spmv_ell` vs
-//! `spmv_sell`; `cb_gmres_frsz2_21` vs `cb_gmres_frsz2_21_auto`), *or*
-//! between a fused orthogonalization kernel and its
-//! decompress-then-BLAS reference (`basis_dots` vs `basis_dots_ref`,
-//! `basis_gemv` vs `basis_gemv_ref` — schema v3). All three contracts
-//! are enforced wherever the benches run — including CI's
-//! `bench-smoke` job, which also validates the JSON schema with
-//! `--validate`. See `bench::json` for the schema.
+//! escalation ladder at least once and back down at least once after.
 
 use bench::json::{self, Json};
 use bench::report;
 use frsz2::{Frsz2AdaptiveStore, Frsz2Config, Frsz2Store, Frsz2Vector};
 use krylov::{
     adaptive_gmres, block_gmres_with, gmres, gmres_with, sstep_gmres_dyn, AdaptiveOptions,
-    GmresOptions, Identity, SStepOptions, SStepSolveResult, SolveResult, ESCALATION_LADDER,
+    GmresOptions, HistoryPoint, Identity, SStepOptions, SolveResult, SolveStats, ESCALATION_LADDER,
 };
 use numfmt::ColumnStorage;
 use spla::{auto_format, gen, Ell, SellCSigma, SparseMatrix};
@@ -151,98 +115,134 @@ fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// FNV-1a over `u64` words: the determinism fingerprint.
-struct Fnv(u64);
+// ---------------------------------------------------------------------
+// Fingerprints.
+// ---------------------------------------------------------------------
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u64) {
+/// FNV-1a over the little-endian bytes of `u64` words: the determinism
+/// fingerprint every case row carries.
+fn fnv(words: impl IntoIterator<Item = u64>) -> String {
+    let mut h = 0xcbf29ce484222325u64;
+    for word in words {
         for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x100000001b3);
         }
     }
-
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
+    format!("{h:016x}")
 }
 
-fn fingerprint_f64s(values: &[f64]) -> String {
-    let mut h = Fnv::new();
-    for v in values {
-        h.push(v.to_bits());
-    }
-    h.hex()
+fn fp_f64s(values: &[f64]) -> String {
+    fnv(values.iter().map(|v| v.to_bits()))
 }
 
-/// One measurement: `runs` timed repetitions after one warmup, under a
-/// pool of exactly `threads` threads.
-fn time_under_pool<F: FnMut()>(threads: usize, runs: usize, mut f: F) -> Vec<f64> {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool build");
-    pool.install(|| {
-        f(); // warmup
-        (0..runs)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .collect()
-    })
+/// One solve's words: its iteration count, then its residual-history
+/// bits.
+fn history_words(iterations: usize, history: &[HistoryPoint]) -> impl Iterator<Item = u64> + '_ {
+    std::iter::once(iterations as u64).chain(history.iter().map(|p| p.rrn.to_bits()))
 }
 
-fn min_median_mean(samples: &[f64]) -> (f64, f64, f64) {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let min = sorted[0];
-    let median = sorted[sorted.len() / 2];
-    let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
-    (min, median, mean)
+/// Each byte of `s` as one word (format names, per-job fingerprints).
+fn byte_words(s: &str) -> impl Iterator<Item = u64> + '_ {
+    s.bytes().map(u64::from)
 }
 
-/// A `(case, threads)` measurement row plus its determinism hash.
+/// What a solve fingerprint hashes after the iteration count and the
+/// residual-history bits.
+#[derive(Clone, Copy)]
+enum SolveFp {
+    /// Nothing more (the pinned `cb_gmres_frsz2_21` formula).
+    History,
+    /// The format trajectory's bytes, which pins an escalation schedule.
+    Trajectory,
+    /// The solution's bits.
+    Solution,
+    /// The trajectory, then the solution (a service job).
+    Job,
+}
+
+fn fp_solve(r: &SolveResult, kind: SolveFp) -> String {
+    let (trajectory, x) = match kind {
+        SolveFp::History => (false, false),
+        SolveFp::Trajectory => (true, false),
+        SolveFp::Solution => (false, true),
+        SolveFp::Job => (true, true),
+    };
+    let traj = r
+        .stats
+        .format_trajectory
+        .iter()
+        .filter(|_| trajectory)
+        .flat_map(|f| byte_words(f));
+    let xs = r.x.iter().filter(|_| x).map(|v| v.to_bits());
+    fnv(history_words(r.stats.iterations, &r.history)
+        .chain(traj)
+        .chain(xs))
+}
+
+// ---------------------------------------------------------------------
+// The case runner.
+// ---------------------------------------------------------------------
+
+/// Wall-clock statistics of one `(case, threads)` measurement, in ms.
+struct Timing {
+    min_ms: f64,
+    median_ms: f64,
+    mean_ms: f64,
+}
+
+/// What a case reports besides its timing.
+#[derive(Default)]
+struct Row {
+    fingerprint: String,
+    metrics: Vec<(&'static str, f64)>,
+    /// Per-cycle basis-format trajectory (adaptive solve cases).
+    trajectory: Option<Vec<String>>,
+    /// Whether the case's solves converged. Not emitted; read by
+    /// [`Rule::Converges`].
+    converged: Option<bool>,
+}
+
+/// A `(case, threads)` measurement row.
 struct CaseResult {
     name: String,
     threads: usize,
     runs: usize,
-    min_ms: f64,
-    median_ms: f64,
-    mean_ms: f64,
-    metrics: Vec<(String, f64)>,
-    fingerprint: String,
-    /// Per-cycle basis-format trajectory (adaptive solve cases; schema
-    /// v2 optional key).
-    format_trajectory: Option<Vec<String>>,
+    timing: Timing,
+    row: Row,
 }
 
 impl CaseResult {
+    fn metric(&self, key: &str) -> Result<f64, String> {
+        self.row
+            .metrics
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| format!("{} has no metric {key}", self.name))
+    }
+
     fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("name", Json::Str(self.name.clone())),
             ("threads", Json::Num(self.threads as f64)),
             ("runs", Json::Num(self.runs as f64)),
-            ("min_ms", Json::Num(self.min_ms)),
-            ("median_ms", Json::Num(self.median_ms)),
-            ("mean_ms", Json::Num(self.mean_ms)),
+            ("min_ms", Json::Num(self.timing.min_ms)),
+            ("median_ms", Json::Num(self.timing.median_ms)),
+            ("mean_ms", Json::Num(self.timing.mean_ms)),
             (
                 "metrics",
                 Json::Obj(
-                    self.metrics
+                    self.row
+                        .metrics
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
+                        .map(|(k, v)| (k.to_string(), Json::Num(*v)))
                         .collect(),
                 ),
             ),
-            ("fingerprint", Json::Str(self.fingerprint.clone())),
+            ("fingerprint", Json::Str(self.row.fingerprint.clone())),
         ];
-        if let Some(traj) = &self.format_trajectory {
+        if let Some(traj) = &self.row.trajectory {
             pairs.push((
                 "format_trajectory",
                 Json::Arr(traj.iter().map(|f| Json::Str(f.clone())).collect()),
@@ -252,68 +252,203 @@ impl CaseResult {
     }
 }
 
-/// Fail the run (exit 1) if any case produced different bits at
-/// different thread counts.
-fn enforce_determinism(bench: &str, cases: &[CaseResult]) {
-    let mut seen: Vec<(&str, &str)> = Vec::new();
+/// The case runner: under a pool of exactly `threads` threads, run
+/// `body` once as a warm-up and `runs` more times on the clock, then
+/// build the row from the last output and the timing (still under the
+/// pool, so a fingerprint recomputed there runs at the row's thread
+/// count).
+fn run_case<T>(
+    name: &str,
+    threads: usize,
+    runs: usize,
+    mut body: impl FnMut() -> T,
+    row: impl FnOnce(T, &Timing) -> Row,
+) -> CaseResult {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool build");
+    pool.install(|| {
+        let mut last = body();
+        let mut samples: Vec<f64> = (0..runs)
+            .map(|_| {
+                let t = Instant::now();
+                last = body();
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        let timing = Timing {
+            min_ms: samples[0],
+            median_ms: samples[samples.len() / 2],
+            mean_ms: samples.iter().sum::<f64>() / samples.len() as f64,
+        };
+        let row = row(last, &timing);
+        CaseResult {
+            name: name.to_string(),
+            threads,
+            runs,
+            timing,
+            row,
+        }
+    })
+}
+
+/// [`run_case`] at every `--threads` count.
+fn sweep<T>(
+    args: &Args,
+    name: &str,
+    mut body: impl FnMut() -> T,
+    row: impl Fn(T, &Timing) -> Row,
+) -> Vec<CaseResult> {
+    args.threads
+        .iter()
+        .map(|&threads| run_case(name, threads, args.runs, &mut body, &row))
+        .collect()
+}
+
+/// `stats` field behind a solve metric key.
+fn solve_metric(stats: &SolveStats, key: &str) -> f64 {
+    match key {
+        "converged" => f64::from(u8::from(stats.converged)),
+        "iterations" => stats.iterations as f64,
+        "final_rrn" => stats.final_rrn,
+        "escalations" => stats.escalations as f64,
+        "de_escalations" => stats.de_escalations as f64,
+        "basis_bits_per_value" => stats.basis_bits_per_value,
+        "dot_sweeps" => stats.basis_dot_sweeps as f64,
+        "gemv_sweeps" => stats.basis_gemv_sweeps as f64,
+        "basis_sweeps" => (stats.basis_dot_sweeps + stats.basis_gemv_sweeps) as f64,
+        "operator_sweeps" => stats.spmv_count as f64,
+        other => panic!("unknown solve metric {other}"),
+    }
+}
+
+/// The row of one solve: fingerprint of `kind`, the named `stats`
+/// metrics in order, and the trajectory when the fingerprint covers it.
+fn solve_row(r: &SolveResult, kind: SolveFp, metrics: &[&'static str]) -> Row {
+    Row {
+        fingerprint: fp_solve(r, kind),
+        metrics: metrics
+            .iter()
+            .map(|&k| (k, solve_metric(&r.stats, k)))
+            .collect(),
+        trajectory: matches!(kind, SolveFp::Trajectory).then(|| r.stats.format_trajectory.clone()),
+        converged: Some(r.stats.converged),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Declared checks.
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Copy, Debug)]
+enum Cmp {
+    Lt,
+    Ge,
+    Eq,
+}
+
+/// A contract a suite declares over the rows of the named cases;
+/// [`check`] enforces it at every thread count.
+enum Rule {
+    /// The cases fingerprint-equal the first one: the same computation
+    /// on different sparse formats, fused kernels and their references,
+    /// a delegating driver and the scalar solve, concurrent and
+    /// sequential service batches.
+    Same(&'static [&'static str]),
+    /// The cases' solves converge (`true`) or must stagnate (`false`).
+    Converges(&'static [&'static str], bool),
+    /// `metrics[key]` of each case compares to the bound.
+    Metric(&'static [&'static str], &'static str, Cmp, f64),
+    /// `metrics[key]` of each case is strictly below the base case's.
+    Below(&'static [&'static str], &'static str, &'static str),
+}
+
+/// Enforce `rules` over one suite's rows, plus the rule every case
+/// obeys: its fingerprint is the same at every thread count. A case a
+/// rule names must have produced rows, so a renamed case or a typo
+/// cannot silently disable its rule.
+fn check(bench: &str, cases: &[CaseResult], rules: &[Rule]) -> Result<(), String> {
     for c in cases {
-        match seen.iter().find(|(name, _)| *name == c.name) {
-            None => seen.push((&c.name, &c.fingerprint)),
-            Some((_, fp)) if *fp == c.fingerprint => {}
-            Some((_, fp)) => {
-                eprintln!(
-                    "DETERMINISM VIOLATION in {bench}/{}: fingerprint {} at {} threads \
-                     differs from {}",
-                    c.name, c.fingerprint, c.threads, fp
-                );
-                std::process::exit(1);
+        let first = cases.iter().find(|o| o.name == c.name).expect("c itself");
+        if first.row.fingerprint != c.row.fingerprint {
+            return Err(format!(
+                "DETERMINISM VIOLATION in {bench}/{}: fingerprint {} at {} threads \
+                 differs from {} at {} threads",
+                c.name, c.row.fingerprint, c.threads, first.row.fingerprint, first.threads
+            ));
+        }
+    }
+    let at = |name: &str, threads: usize| {
+        cases
+            .iter()
+            .find(|c| c.name == name && c.threads == threads)
+            .ok_or_else(|| format!("{bench}/{name}: no row at {threads} threads"))
+    };
+    for rule in rules {
+        let (Rule::Same(names)
+        | Rule::Converges(names, _)
+        | Rule::Metric(names, ..)
+        | Rule::Below(names, ..)) = rule;
+        for name in names.iter() {
+            let rows: Vec<&CaseResult> = cases.iter().filter(|c| c.name == *name).collect();
+            if rows.is_empty() {
+                return Err(format!("{bench}: checked case {name} produced no rows"));
+            }
+            for c in rows {
+                let failure = match rule {
+                    Rule::Same(group) => {
+                        let r = at(group[0], c.threads)?;
+                        (c.row.fingerprint != r.row.fingerprint).then(|| {
+                            format!(
+                                "fingerprint {} differs from {} ({})",
+                                c.row.fingerprint, group[0], r.row.fingerprint
+                            )
+                        })
+                    }
+                    Rule::Converges(_, want) => (c.row.converged != Some(*want))
+                        .then(|| format!("converged = {:?}, required {want}", c.row.converged)),
+                    Rule::Metric(_, key, cmp, bound) => {
+                        let v = c.metric(key)?;
+                        let holds = match cmp {
+                            Cmp::Lt => v < *bound,
+                            Cmp::Ge => v >= *bound,
+                            Cmp::Eq => v == *bound,
+                        };
+                        (!holds).then(|| format!("{key} = {v} fails {cmp:?} {bound}"))
+                    }
+                    Rule::Below(_, base, key) => {
+                        let (v, b) = (c.metric(key)?, at(base, c.threads)?.metric(key)?);
+                        (v >= b).then(|| format!("{key} = {v} is not below {base}'s {b}"))
+                    }
+                };
+                if let Some(failure) = failure {
+                    return Err(format!(
+                        "CHECK FAILED in {bench}/{name} at {} threads: {failure}",
+                        c.threads
+                    ));
+                }
             }
         }
     }
+    Ok(())
 }
 
-/// Fail the run (exit 1) if cases of the named group — the same
-/// computation on different sparse formats — disagree on any
-/// fingerprint. Together with [`enforce_determinism`] this pins the
-/// output bits across *both* axes: thread count and matrix format.
-fn enforce_cross_format(bench: &str, group: &[&str], cases: &[CaseResult]) {
-    // A renamed case or group-list typo must not silently disable the
-    // guard: every group member must actually be present and compared.
-    for name in group {
-        assert!(
-            cases.iter().any(|c| c.name == *name),
-            "cross-format group member {name} produced no cases in {bench}"
-        );
-    }
-    let reference: Vec<&CaseResult> = cases.iter().filter(|c| c.name == group[0]).collect();
-    for c in cases.iter().filter(|c| group.contains(&c.name.as_str())) {
-        let r = reference
-            .iter()
-            .find(|r| r.threads == c.threads)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{bench}/{}: no {} reference measurement at {} threads",
-                    c.name, group[0], c.threads
-                )
-            });
-        if c.fingerprint != r.fingerprint {
-            eprintln!(
-                "CROSS-FORMAT DIVERGENCE in {bench}: {} fingerprint {} at {} threads \
-                 differs from {} ({})",
-                c.name, c.fingerprint, c.threads, group[0], r.fingerprint
-            );
-            std::process::exit(1);
-        }
-    }
+/// One suite's output: the document's `config`, its rows, and the case
+/// whose thread speedup the document reports.
+struct Suite {
+    config: Vec<(&'static str, Json)>,
+    cases: Vec<CaseResult>,
+    speedup_case: &'static str,
 }
 
-fn emit_doc(
-    bench: &str,
-    quick: bool,
-    config: Vec<(&str, Json)>,
-    cases: &[CaseResult],
-    speedup_case: &str,
-) -> Json {
+fn emit_doc(bench: &str, quick: bool, suite: Suite) -> Json {
+    let Suite {
+        config,
+        cases,
+        speedup_case,
+    } = suite;
     let mut pairs = vec![
         ("schema_version", Json::Num(json::BENCH_SCHEMA_VERSION)),
         ("bench", Json::Str(bench.to_string())),
@@ -331,14 +466,14 @@ fn emit_doc(
     if of_case.len() >= 2 {
         let lo = of_case.iter().min_by_key(|c| c.threads).unwrap();
         let hi = of_case.iter().max_by_key(|c| c.threads).unwrap();
-        if hi.threads > lo.threads && hi.min_ms > 0.0 {
+        if hi.threads > lo.threads && hi.timing.min_ms > 0.0 {
             pairs.push((
                 "speedup",
                 Json::obj(vec![
                     ("case", Json::Str(speedup_case.to_string())),
                     ("threads", Json::Num(hi.threads as f64)),
                     ("vs", Json::Num(lo.threads as f64)),
-                    ("factor", Json::Num(lo.min_ms / hi.min_ms)),
+                    ("factor", Json::Num(lo.timing.min_ms / hi.timing.min_ms)),
                 ]),
             ));
         }
@@ -346,16 +481,40 @@ fn emit_doc(
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// `bytes` moved per `min_ms`, in GB/s.
+fn gbps(bytes: f64, t: &Timing) -> f64 {
+    bytes / (t.min_ms * 1e-3) / 1e9
+}
+
+/// The pinned `cb_gmres_frsz2_21` solver options.
+fn pinned_opts() -> GmresOptions {
+    GmresOptions {
+        restart: 100,
+        max_iters: 5000,
+        target_rrn: 1e-10,
+        record_history: true,
+        ..GmresOptions::default()
+    }
+}
+
+/// The pinned `cb_gmres_frsz2_21` solve of `b` on `a`.
+fn pinned_solve(a: &dyn SparseMatrix, b: &[f64], opts: &GmresOptions) -> SolveResult {
+    let cfg = Frsz2Config::new(32, 21);
+    let x0 = vec![0.0; a.rows()];
+    gmres_with(a, b, &x0, opts, &Identity, |rows, cols| {
+        Frsz2Store::with_config(cfg, rows, cols)
+    })
+}
+
 // ---------------------------------------------------------------------
-// The three suites.
+// The suites.
 // ---------------------------------------------------------------------
 
+const SPMV_RULES: &[Rule] = &[Rule::Same(&["spmv_csr", "spmv_ell", "spmv_sell"])];
+
 /// SpMV on a convection–diffusion operator (≥ 1M nnz in full mode),
-/// measured once per sparse format (CSR / ELL / SELL-C-σ). All three
-/// formats must produce bit-identical output — the harness exits
-/// non-zero on any cross-format fingerprint divergence (see
-/// [`enforce_cross_format`]).
-fn bench_spmv(args: &Args) -> (Json, Vec<CaseResult>) {
+/// once per sparse format on the same input.
+fn bench_spmv(args: &Args) -> Suite {
     let s = if args.quick { 24 } else { 56 };
     let a = gen::conv_diff_3d(s, s, s, [0.4, 0.2, 0.1], 0.2);
     let auto = auto_format(&a);
@@ -367,100 +526,89 @@ fn bench_spmv(args: &Args) -> (Json, Vec<CaseResult>) {
     let mut y = vec![0.0; a.rows()];
     let mut cases = Vec::new();
     for (name, m) in formats {
-        let bytes = m.spmv_bytes();
-        for &threads in &args.threads {
-            let samples = time_under_pool(threads, args.runs, || m.spmv(&x, &mut y));
-            let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-            cases.push(CaseResult {
-                name: name.into(),
-                threads,
-                runs: args.runs,
-                min_ms,
-                median_ms,
-                mean_ms,
-                metrics: vec![
-                    ("nnz".into(), m.nnz() as f64),
-                    ("rows".into(), m.rows() as f64),
-                    ("storage_bytes".into(), m.storage_bytes() as f64),
-                    ("gbps".into(), bytes as f64 / (min_ms * 1e-3) / 1e9),
-                ],
-                fingerprint: fingerprint_f64s(&y),
-                format_trajectory: None,
-            });
-        }
+        cases.extend(sweep(
+            args,
+            name,
+            || m.spmv(&x, &mut y),
+            |(), t| {
+                let mut y = vec![0.0; m.rows()];
+                m.spmv(&x, &mut y);
+                Row {
+                    fingerprint: fp_f64s(&y),
+                    metrics: vec![
+                        ("nnz", m.nnz() as f64),
+                        ("rows", m.rows() as f64),
+                        ("storage_bytes", m.storage_bytes() as f64),
+                        ("gbps", gbps(m.spmv_bytes() as f64, t)),
+                    ],
+                    ..Row::default()
+                }
+            },
+        ));
     }
-    enforce_cross_format("spmv", &["spmv_csr", "spmv_ell", "spmv_sell"], &cases);
-    let config = vec![
-        ("matrix", Json::Str(format!("conv_diff_3d {s}^3"))),
-        ("rows", Json::Num(a.rows() as f64)),
-        ("nnz", Json::Num(a.nnz() as f64)),
-        ("bytes_per_spmv", Json::Num(a.spmv_bytes() as f64)),
-        ("auto_format", Json::Str(auto.name().into())),
-    ];
-    (
-        emit_doc("spmv", args.quick, config, &cases, "spmv_csr"),
+    Suite {
+        config: vec![
+            ("matrix", Json::Str(format!("conv_diff_3d {s}^3"))),
+            ("rows", Json::Num(a.rows() as f64)),
+            ("nnz", Json::Num(a.nnz() as f64)),
+            ("bytes_per_spmv", Json::Num(a.spmv_bytes() as f64)),
+            ("auto_format", Json::Str(auto.name().into())),
+        ],
         cases,
-    )
+        speedup_case: "spmv_csr",
+    }
 }
 
-/// FRSZ2 compress + decompress round-trip at all three paper bit
-/// lengths (`l ∈ {16, 21, 32}`, schema v3), plus the fused
-/// multi-column orthogonalization kernel microbenches
-/// (`basis_dots`/`basis_gemv`) against their decompress-then-BLAS
-/// references. Each fused/ref pair must produce bit-identical output
-/// at every thread count — enforced by [`enforce_cross_format`].
-fn bench_codec(args: &Args) -> (Json, Vec<CaseResult>) {
+const CODEC_RULES: &[Rule] = &[
+    Rule::Same(&["basis_dots", "basis_dots_ref"]),
+    Rule::Same(&["basis_gemv", "basis_gemv_ref"]),
+];
+
+/// FRSZ2 compress + decompress round trips at the paper bit lengths,
+/// plus the fused multi-column orthogonalization kernels on a frsz2_21
+/// basis against their per-column decompress-then-BLAS references.
+fn bench_codec(args: &Args) -> Suite {
     let n: usize = if args.quick { 1 << 16 } else { 1 << 20 };
     let data: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.17).sin() * 0.9).collect();
+    let roundtrip = |cfg: Frsz2Config, out: &mut [f64]| {
+        Frsz2Vector::compress(cfg, &data).decompress_into(out);
+    };
     let mut out = vec![0.0; n];
     let mut cases = Vec::new();
-    for &bits in &[16u32, 21, 32] {
+    for bits in [16u32, 21, 32] {
         let cfg = Frsz2Config::new(32, bits);
-        for &threads in &args.threads {
-            let samples = time_under_pool(threads, args.runs, || {
-                let v = Frsz2Vector::compress(cfg, &data);
-                v.decompress_into(&mut out);
-            });
-            let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-            cases.push(CaseResult {
-                name: format!("codec_roundtrip_l{bits}"),
-                threads,
-                runs: args.runs,
-                min_ms,
-                median_ms,
-                mean_ms,
-                metrics: vec![
-                    ("values".into(), n as f64),
-                    // Uncompressed bytes moved through the codec per
-                    // round trip (one encode + one decode pass).
-                    (
-                        "gbps_uncompressed".into(),
-                        (2 * n * 8) as f64 / (min_ms * 1e-3) / 1e9,
-                    ),
-                    // Compressed bytes moved per round trip (one pack
-                    // write + one decode read) — the traffic CB-GMRES
-                    // actually pays for basis storage (schema v3).
-                    (
-                        "gbps_compressed".into(),
-                        (2 * cfg.storage_bytes(n)) as f64 / (min_ms * 1e-3) / 1e9,
-                    ),
-                    ("bits_per_value".into(), cfg.bits_per_value(n)),
-                ],
-                fingerprint: fingerprint_f64s(&out),
-                format_trajectory: None,
-            });
-        }
+        cases.extend(sweep(
+            args,
+            &format!("codec_roundtrip_l{bits}"),
+            || roundtrip(cfg, &mut out),
+            |(), t| {
+                let mut out = vec![0.0; n];
+                roundtrip(cfg, &mut out);
+                Row {
+                    fingerprint: fp_f64s(&out),
+                    metrics: vec![
+                        ("values", n as f64),
+                        // One encode + one decode pass over the
+                        // uncompressed values ...
+                        ("gbps_uncompressed", gbps((2 * n * 8) as f64, t)),
+                        // ... and over the compressed bytes: the
+                        // traffic CB-GMRES pays for basis storage.
+                        (
+                            "gbps_compressed",
+                            gbps((2 * cfg.storage_bytes(n)) as f64, t),
+                        ),
+                        ("bits_per_value", cfg.bits_per_value(n)),
+                    ],
+                    ..Row::default()
+                }
+            },
+        ));
     }
 
-    // Kernel microbenches (schema v3): the fused multi-column basis
-    // sweeps on a frsz2_21 basis vs their per-column
-    // decompress-then-naive-BLAS references. The reference mirrors the
-    // basis' chunk reduction exactly, so fingerprints must match
-    // bit-for-bit — fusion changes speed, never results.
     let bn: usize = if args.quick { 1 << 14 } else { 1 << 17 };
     let bk = 8usize;
-    let cfg21 = Frsz2Config::new(32, 21);
-    let mut basis = krylov::Basis::from_store(Frsz2Store::with_config(cfg21, bn, bk));
+    let mut basis =
+        krylov::Basis::from_store(Frsz2Store::with_config(Frsz2Config::new(32, 21), bn, bk));
     for j in 0..bk {
         let v: Vec<f64> = (0..bn)
             .map(|i| ((i + 31 * j) as f64 * 0.11).sin())
@@ -471,235 +619,150 @@ fn bench_codec(args: &Args) -> (Json, Vec<CaseResult>) {
     let alphas: Vec<f64> = (0..bk).map(|j| 1e-3 * (j as f64 + 1.0)).collect();
     let chunk = basis.chunk_rows();
     let n_chunks = bn.div_ceil(chunk);
-    let col_bytes = basis.column_bytes();
-    // Compressed bytes streamed per sweep: all k columns once.
-    let sweep_bytes = (bk * col_bytes) as f64;
-
-    let mut h = vec![0.0; bk];
-    let mut scratch = Vec::new();
-    let mut wv = w.clone();
-    let mut tile = vec![0.0; chunk];
-    let mut partials = vec![0.0; n_chunks * bk];
-    for &threads in &args.threads {
-        // basis_dots: fused h = Vᵀw.
-        let samples = time_under_pool(threads, args.runs, || {
-            basis.dots_with(bk, &w, &mut h, &mut scratch);
-        });
-        push_kernel_case(
-            &mut cases,
-            "basis_dots",
-            threads,
-            args,
-            &samples,
-            sweep_bytes,
-            fingerprint_f64s(&h),
-        );
-
-        // basis_dots_ref: per-column decompress-then-dot with the same
-        // chunk-ordered partial reduction.
-        let samples = time_under_pool(threads, args.runs, || {
-            for (c, slot) in partials.chunks_mut(bk).enumerate() {
-                let start = c * chunk;
-                let len = chunk.min(bn - start);
-                for (j, out_j) in slot.iter_mut().enumerate() {
-                    basis.store().read_chunk(j, start, &mut tile[..len]);
-                    let mut acc = 0.0;
-                    for (a, b) in tile[..len].iter().zip(&w[start..start + len]) {
-                        acc += a * b;
-                    }
-                    *out_j = acc;
+    let store = basis.store();
+    // Each kernel writes (dots) or updates (gemv) `out`, using
+    // `scratch` as its workspace. The references mirror the basis'
+    // chunk-ordered reduction and its chunk-outer, column-inner update
+    // order, so fused and reference must agree bit for bit.
+    let dots = |out: &mut [f64], scratch: &mut Vec<f64>| basis.dots_with(bk, &w, out, scratch);
+    let dots_ref = |out: &mut [f64], scratch: &mut Vec<f64>| {
+        scratch.resize(n_chunks * bk + chunk, 0.0);
+        let (partials, tile) = scratch.split_at_mut(n_chunks * bk);
+        for (c, slot) in partials.chunks_mut(bk).enumerate() {
+            let start = c * chunk;
+            let len = chunk.min(bn - start);
+            for (j, out_j) in slot.iter_mut().enumerate() {
+                store.read_chunk(j, start, &mut tile[..len]);
+                let mut acc = 0.0;
+                for (a, b) in tile[..len].iter().zip(&w[start..start + len]) {
+                    acc += a * b;
+                }
+                *out_j = acc;
+            }
+        }
+        for (j, out_j) in out.iter_mut().enumerate() {
+            *out_j = (0..n_chunks).map(|c| partials[c * bk + j]).sum();
+        }
+    };
+    let gemv = |out: &mut [f64], _: &mut Vec<f64>| basis.axpys(bk, &alphas, out);
+    let gemv_ref = |out: &mut [f64], tile: &mut Vec<f64>| {
+        tile.resize(chunk, 0.0);
+        let mut start = 0;
+        while start < bn {
+            let len = chunk.min(bn - start);
+            for (j, &a) in alphas.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                store.read_chunk(j, start, &mut tile[..len]);
+                for (b, t) in out[start..start + len].iter_mut().zip(&tile[..len]) {
+                    *b += a * t;
                 }
             }
-            for (j, out_j) in h.iter_mut().enumerate() {
-                *out_j = (0..n_chunks).map(|c| partials[c * bk + j]).sum();
-            }
-        });
-        push_kernel_case(
-            &mut cases,
-            "basis_dots_ref",
-            threads,
-            args,
-            &samples,
-            sweep_bytes,
-            fingerprint_f64s(&h),
-        );
-
-        // basis_gemv: fused w ← w + Σ αⱼ V[:,j]. Timed on a scratch
-        // vector; the fingerprint comes from one fresh application so
-        // it is independent of the run count.
-        let samples = time_under_pool(threads, args.runs, || {
-            basis.axpys(bk, &alphas, &mut wv);
-        });
-        wv.copy_from_slice(&w);
-        basis.axpys(bk, &alphas, &mut wv);
-        let fused_fp = fingerprint_f64s(&wv);
-        push_kernel_case(
-            &mut cases,
-            "basis_gemv",
-            threads,
-            args,
-            &samples,
-            sweep_bytes,
-            fused_fp,
-        );
-
-        // basis_gemv_ref: sequential per-column decompress-then-axpy
-        // (chunk outer, column inner — the op order the fused kernel
-        // must reproduce).
-        let mut gemv_ref = |wv: &mut [f64]| {
-            let mut start = 0;
-            while start < bn {
-                let len = chunk.min(bn - start);
-                for (j, &a) in alphas.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    basis.store().read_chunk(j, start, &mut tile[..len]);
-                    for (b, t) in wv[start..start + len].iter_mut().zip(&tile[..len]) {
-                        *b += a * t;
-                    }
-                }
-                start += len;
-            }
-        };
-        let samples = time_under_pool(threads, args.runs, || gemv_ref(&mut wv));
-        wv.copy_from_slice(&w);
-        gemv_ref(&mut wv);
-        let ref_fp = fingerprint_f64s(&wv);
-        push_kernel_case(
-            &mut cases,
-            "basis_gemv_ref",
-            threads,
-            args,
-            &samples,
-            sweep_bytes,
-            ref_fp,
-        );
-    }
-    // Fused and reference kernels must agree bit-for-bit.
-    enforce_cross_format("codec", &["basis_dots", "basis_dots_ref"], &cases);
-    enforce_cross_format("codec", &["basis_gemv", "basis_gemv_ref"], &cases);
-
-    let config = vec![
-        ("values", Json::Num(n as f64)),
-        ("block_size", Json::Num(32.0)),
-        ("basis_rows", Json::Num(bn as f64)),
-        ("basis_cols", Json::Num(bk as f64)),
-        ("basis_format", Json::Str("frsz2_21".into())),
+            start += len;
+        }
+    };
+    type Kernel<'a> = &'a dyn Fn(&mut [f64], &mut Vec<f64>);
+    let zeros = vec![0.0; bk];
+    let kernels: [(&str, &[f64], Kernel); 4] = [
+        ("basis_dots", &zeros, &dots),
+        ("basis_dots_ref", &zeros, &dots_ref),
+        ("basis_gemv", &w, &gemv),
+        ("basis_gemv_ref", &w, &gemv_ref),
     ];
-    (
-        emit_doc("codec", args.quick, config, &cases, "codec_roundtrip_l21"),
+    // Compressed bytes streamed per sweep: all k columns once.
+    let sweep_bytes = (bk * basis.column_bytes()) as f64;
+    for &threads in &args.threads {
+        for (name, init, kernel) in kernels {
+            // Timed on a persistent buffer; the fingerprint comes from
+            // one fresh application, so it is independent of the run
+            // count.
+            let (mut buf, mut scratch) = (init.to_vec(), Vec::new());
+            cases.push(run_case(
+                name,
+                threads,
+                args.runs,
+                || kernel(&mut buf, &mut scratch),
+                |(), t| {
+                    let mut fresh = init.to_vec();
+                    kernel(&mut fresh, &mut Vec::new());
+                    Row {
+                        fingerprint: fp_f64s(&fresh),
+                        metrics: vec![("gbps_compressed", gbps(sweep_bytes, t))],
+                        ..Row::default()
+                    }
+                },
+            ));
+        }
+    }
+
+    Suite {
+        config: vec![
+            ("values", Json::Num(n as f64)),
+            ("block_size", Json::Num(32.0)),
+            ("basis_rows", Json::Num(bn as f64)),
+            ("basis_cols", Json::Num(bk as f64)),
+            ("basis_format", Json::Str("frsz2_21".into())),
+        ],
         cases,
-    )
+        speedup_case: "codec_roundtrip_l21",
+    }
 }
 
-/// Append one kernel-microbench case row (codec suite, schema v3):
-/// `gbps_compressed` is the compressed basis bytes swept per call over
-/// the min time — the bandwidth the paper's Figure 4 roofline is about.
-fn push_kernel_case(
-    cases: &mut Vec<CaseResult>,
-    name: &str,
-    threads: usize,
-    args: &Args,
-    samples: &[f64],
-    sweep_bytes: f64,
-    fingerprint: String,
-) {
-    let (min_ms, median_ms, mean_ms) = min_median_mean(samples);
-    cases.push(CaseResult {
-        name: name.into(),
-        threads,
-        runs: args.runs,
-        min_ms,
-        median_ms,
-        mean_ms,
-        metrics: vec![(
-            "gbps_compressed".into(),
-            sweep_bytes / (min_ms * 1e-3) / 1e9,
-        )],
-        fingerprint,
-        format_trajectory: None,
-    });
-}
+const SOLVE_RULES: &[Rule] = &[
+    Rule::Same(&["cb_gmres_frsz2_21", "cb_gmres_frsz2_21_auto"]),
+    Rule::Converges(
+        &[
+            "cb_gmres_frsz2_21",
+            "cb_gmres_frsz2_21_auto",
+            "cb_gmres_adaptive",
+            "cb_gmres_adaptive_bidir",
+            "cb_gmres_frsz2_ab",
+        ],
+        true,
+    ),
+    Rule::Converges(
+        &["cb_gmres_frsz2_16_fixed", "cb_gmres_frsz2_16_runs"],
+        false,
+    ),
+    Rule::Metric(
+        &["cb_gmres_adaptive", "cb_gmres_adaptive_bidir"],
+        "escalations",
+        Cmp::Ge,
+        1.0,
+    ),
+    Rule::Metric(&["cb_gmres_adaptive_bidir"], "de_escalations", Cmp::Ge, 1.0),
+    Rule::Metric(
+        &["cb_gmres_frsz2_ab"],
+        "basis_bits_per_value",
+        Cmp::Lt,
+        22.0,
+    ),
+];
 
-/// CB-GMRES solves with the paper's `l = 21` compressed basis on the
-/// convection–diffusion system: once on CSR, once on the auto-selected
-/// sparse format. The two cases must produce bit-identical residual
-/// histories (the `SparseMatrix` bit-identity contract), enforced by
-/// [`enforce_cross_format`].
-fn bench_solve(args: &Args) -> (Json, Vec<CaseResult>) {
+/// CB-GMRES solves: the pinned frsz2_21 solve on CSR and on the
+/// auto-selected sparse format; the stagnation pair (fixed frsz2_16 vs
+/// the escalating adaptive driver) and the bidirectional adaptive
+/// driver on a similarity-scaled operator whose exponent spread defeats
+/// frsz2_16; and the runs-operator pair (fixed frsz2_16 vs the
+/// per-block frsz2_ab store).
+fn bench_solve(args: &Args) -> Suite {
     let s = if args.quick { 12 } else { 20 };
     let a = gen::conv_diff_3d(s, s, s, [0.4, 0.2, 0.1], 0.2);
     let auto = auto_format(&a);
     let auto_matrix = auto.build(&a);
     let (_, b) = spla::dense::manufactured_rhs(&a);
-    let x0 = vec![0.0; a.rows()];
-    let opts = GmresOptions {
-        restart: 100,
-        max_iters: 5000,
-        target_rrn: 1e-10,
-        record_history: true,
-        ..GmresOptions::default()
-    };
-    let cfg = Frsz2Config::new(32, 21);
-    let solve = |a: &dyn SparseMatrix| -> SolveResult {
-        gmres_with(a, &b, &x0, &opts, &Identity, |rows, cols| {
-            Frsz2Store::with_config(cfg, rows, cols)
-        })
-    };
-    let operators: [(&str, &dyn SparseMatrix); 2] = [
-        ("cb_gmres_frsz2_21", &a),
-        ("cb_gmres_frsz2_21_auto", auto_matrix.as_ref()),
-    ];
-    let mut cases = Vec::new();
-    for (name, op) in operators {
-        for &threads in &args.threads {
-            let mut last: Option<SolveResult> = None;
-            let samples = time_under_pool(threads, args.runs, || last = Some(solve(op)));
-            let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-            let r = last.expect("at least one solve ran");
-            assert!(r.stats.converged, "solve failed to converge");
-            let mut h = Fnv::new();
-            h.push(r.stats.iterations as u64);
-            for point in &r.history {
-                h.push(point.rrn.to_bits());
-            }
-            cases.push(CaseResult {
-                name: name.into(),
-                threads,
-                runs: args.runs,
-                min_ms,
-                median_ms,
-                mean_ms,
-                metrics: vec![
-                    ("iterations".into(), r.stats.iterations as f64),
-                    ("final_rrn".into(), r.stats.final_rrn),
-                    ("basis_bits_per_value".into(), r.stats.basis_bits_per_value),
-                ],
-                fingerprint: h.hex(),
-                format_trajectory: None,
-            });
-        }
-    }
-    // Residual histories must not depend on the matrix format.
-    enforce_cross_format(
-        "solve",
-        &["cb_gmres_frsz2_21", "cb_gmres_frsz2_21_auto"],
-        &cases,
-    );
+    let opts = pinned_opts();
 
-    // Stagnation pair (schema v2): a PR02R-like similarity-scaled
-    // operator whose within-block exponent spread defeats frsz2_16 at
-    // this target — the fixed solve stagnates by design — against the
-    // adaptive-precision solver, which escalates
-    // frsz2_16 → frsz2_21 → frsz2_32 → float64 on explicit-residual
-    // evidence and must converge. Both run to completion at every
-    // thread count; the adaptive fingerprint also covers the
-    // escalation schedule.
     let s2 = if args.quick { 8 } else { 12 };
     let scaled = gen::wide_range_conv_diff(s2, s2, s2, 24, 0x5202);
     let (_, b2) = spla::dense::manufactured_rhs(&scaled);
     let x02 = vec![0.0; scaled.rows()];
+    // Plateaus of 16 equal scaling entries over 24 binades: most
+    // 32-value blocks straddle at most one plateau boundary.
+    let runs_m = gen::wide_range_conv_diff_runs(s2, s2, s2, 24, 16, 0x5202);
+    let (_, b3) = spla::dense::manufactured_rhs(&runs_m);
+    let x03 = vec![0.0; runs_m.rows()];
     let stag_opts = GmresOptions {
         restart: 30,
         max_iters: 1200,
@@ -708,277 +771,168 @@ fn bench_solve(args: &Args) -> (Json, Vec<CaseResult>) {
         ..GmresOptions::default()
     };
     let cfg16 = Frsz2Config::new(32, 16);
-    let fixed16 = || -> SolveResult {
-        gmres_with(&scaled, &b2, &x02, &stag_opts, &Identity, |rows, cols| {
+    let fixed16 = |m: &spla::Csr, b: &[f64], x0: &[f64]| {
+        gmres_with(m, b, x0, &stag_opts, &Identity, |rows, cols| {
             Frsz2Store::with_config(cfg16, rows, cols)
         })
     };
-    let adaptive = || -> SolveResult {
-        let aopts = AdaptiveOptions {
+    // The bidirectional driver arms de-escalation at single-cycle
+    // hysteresis.
+    let adaptive = |bidirectional: bool| {
+        let mut aopts = AdaptiveOptions {
             gmres: stag_opts.clone(),
             ..AdaptiveOptions::default()
         };
+        if bidirectional {
+            aopts.de_escalate = true;
+            aopts.de_escalation_cycles = 1;
+        }
         adaptive_gmres(&scaled, &b2, &x02, &aopts, &Identity)
     };
-    let pair: [(&str, &dyn Fn() -> SolveResult); 2] = [
-        ("cb_gmres_frsz2_16_fixed", &fixed16),
-        ("cb_gmres_adaptive", &adaptive),
+
+    const PINNED: &[&str] = &["iterations", "final_rrn", "basis_bits_per_value"];
+    const ESCALATING: &[&str] = &[
+        "converged",
+        "iterations",
+        "final_rrn",
+        "escalations",
+        "basis_bits_per_value",
     ];
-    for (name, run) in pair {
-        for &threads in &args.threads {
-            let mut last: Option<SolveResult> = None;
-            let samples = time_under_pool(threads, args.runs, || last = Some(run()));
-            let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-            let r = last.expect("at least one solve ran");
-            // The scenario contract — the whole point of the pair.
-            if name == "cb_gmres_adaptive" {
-                assert!(
-                    r.stats.converged,
-                    "adaptive solve failed to converge (rrn {:.2e}, trajectory {:?})",
-                    r.stats.final_rrn, r.stats.format_trajectory
-                );
-                assert!(r.stats.escalations >= 1, "adaptive never escalated");
-            } else {
-                assert!(
-                    !r.stats.converged,
-                    "fixed frsz2_16 unexpectedly converged; the counterpoint is dead"
-                );
-            }
-            let mut h = Fnv::new();
-            h.push(r.stats.iterations as u64);
-            for point in &r.history {
-                h.push(point.rrn.to_bits());
-            }
-            // Pin the escalation schedule too, not just the residuals.
-            for f in &r.stats.format_trajectory {
-                for byte in f.as_bytes() {
-                    h.push(u64::from(*byte));
-                }
-            }
-            cases.push(CaseResult {
-                name: name.into(),
-                threads,
-                runs: args.runs,
-                min_ms,
-                median_ms,
-                mean_ms,
-                metrics: vec![
-                    ("converged".into(), f64::from(u8::from(r.stats.converged))),
-                    ("iterations".into(), r.stats.iterations as f64),
-                    ("final_rrn".into(), r.stats.final_rrn),
-                    ("escalations".into(), r.stats.escalations as f64),
-                    ("basis_bits_per_value".into(), r.stats.basis_bits_per_value),
-                ],
-                fingerprint: h.hex(),
-                format_trajectory: Some(r.stats.format_trajectory.clone()),
-            });
-        }
-    }
-
-    // Bidirectional driver (schema v4): same wide-range operator, but
-    // with de-escalation armed at single-cycle hysteresis. The
-    // committed trajectory must walk the ladder both ways — escalating
-    // out of frsz2_16 stagnation *and* stepping back down once the
-    // implicit and explicit residuals agree through a ≥10× drop.
-    let bidir = || -> SolveResult {
-        let aopts = AdaptiveOptions {
-            gmres: stag_opts.clone(),
-            de_escalate: true,
-            de_escalation_cycles: 1,
-            ..AdaptiveOptions::default()
-        };
-        adaptive_gmres(&scaled, &b2, &x02, &aopts, &Identity)
-    };
-    for &threads in &args.threads {
-        let mut last: Option<SolveResult> = None;
-        let samples = time_under_pool(threads, args.runs, || last = Some(bidir()));
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        let r = last.expect("at least one solve ran");
-        assert!(
-            r.stats.converged,
-            "bidirectional adaptive solve failed to converge (rrn {:.2e}, trajectory {:?})",
-            r.stats.final_rrn, r.stats.format_trajectory
-        );
-        assert!(
-            r.stats.escalations >= 1,
-            "bidirectional solve never escalated (trajectory {:?})",
-            r.stats.format_trajectory
-        );
-        assert!(
-            r.stats.de_escalations >= 1,
-            "bidirectional solve never de-escalated (trajectory {:?})",
-            r.stats.format_trajectory
-        );
-        let mut h = Fnv::new();
-        h.push(r.stats.iterations as u64);
-        for point in &r.history {
-            h.push(point.rrn.to_bits());
-        }
-        for f in &r.stats.format_trajectory {
-            for byte in f.as_bytes() {
-                h.push(u64::from(*byte));
-            }
-        }
-        cases.push(CaseResult {
-            name: "cb_gmres_adaptive_bidir".into(),
-            threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![
-                ("converged".into(), f64::from(u8::from(r.stats.converged))),
-                ("iterations".into(), r.stats.iterations as f64),
-                ("final_rrn".into(), r.stats.final_rrn),
-                ("escalations".into(), r.stats.escalations as f64),
-                ("de_escalations".into(), r.stats.de_escalations as f64),
-                ("basis_bits_per_value".into(), r.stats.basis_bits_per_value),
-            ],
-            fingerprint: h.hex(),
-            format_trajectory: Some(r.stats.format_trajectory.clone()),
-        });
-    }
-
-    // Runs-operator pair (schema v4): plateaus of 16 equal scaling
-    // entries spread over 24 binades. Most 32-value blocks straddle at
-    // most one plateau boundary, so the per-block store spends long
-    // bit lengths only where they are needed — the regime where fixed
-    // frsz2_16 stagnates but `frsz2_ab` converges below the whole-basis
-    // frsz2_21 rate.
-    let runs_m = gen::wide_range_conv_diff_runs(s2, s2, s2, 24, 16, 0x5202);
-    let (_, b3) = spla::dense::manufactured_rhs(&runs_m);
-    let x03 = vec![0.0; runs_m.rows()];
-    let fixed16_runs = || -> SolveResult {
-        gmres_with(&runs_m, &b3, &x03, &stag_opts, &Identity, |rows, cols| {
-            Frsz2Store::with_config(cfg16, rows, cols)
-        })
-    };
-    let ab_runs = || -> SolveResult {
-        gmres::<Frsz2AdaptiveStore, _, _>(&runs_m, &b3, &x03, &stag_opts, &Identity)
-    };
-    let runs_pair: [(&str, &dyn Fn() -> SolveResult); 2] = [
-        ("cb_gmres_frsz2_16_runs", &fixed16_runs),
-        ("cb_gmres_frsz2_ab", &ab_runs),
+    const BIDIR: &[&str] = &[
+        "converged",
+        "iterations",
+        "final_rrn",
+        "escalations",
+        "de_escalations",
+        "basis_bits_per_value",
     ];
-    for (name, run) in runs_pair {
-        for &threads in &args.threads {
-            let mut last: Option<SolveResult> = None;
-            let samples = time_under_pool(threads, args.runs, || last = Some(run()));
-            let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-            let r = last.expect("at least one solve ran");
-            if name == "cb_gmres_frsz2_ab" {
-                assert!(
-                    r.stats.converged,
-                    "frsz2_ab solve failed to converge (rrn {:.2e})",
-                    r.stats.final_rrn
-                );
-                assert!(
-                    r.stats.basis_bits_per_value < 22.0,
-                    "frsz2_ab rate {:.2} bpv not below the frsz2_21 whole-basis rate",
-                    r.stats.basis_bits_per_value
-                );
-            } else {
-                assert!(
-                    !r.stats.converged,
-                    "fixed frsz2_16 unexpectedly converged on the runs operator; \
-                     the counterpoint is dead"
-                );
-            }
-            let mut h = Fnv::new();
-            h.push(r.stats.iterations as u64);
-            for point in &r.history {
-                h.push(point.rrn.to_bits());
-            }
-            cases.push(CaseResult {
-                name: name.into(),
-                threads,
-                runs: args.runs,
-                min_ms,
-                median_ms,
-                mean_ms,
-                metrics: vec![
-                    ("converged".into(), f64::from(u8::from(r.stats.converged))),
-                    ("iterations".into(), r.stats.iterations as f64),
-                    ("final_rrn".into(), r.stats.final_rrn),
-                    ("basis_bits_per_value".into(), r.stats.basis_bits_per_value),
-                ],
-                fingerprint: h.hex(),
-                format_trajectory: None,
-            });
-        }
-    }
-
-    let config = vec![
-        ("matrix", Json::Str(format!("conv_diff_3d {s}^3"))),
-        ("rows", Json::Num(a.rows() as f64)),
-        ("format", Json::Str("frsz2_21".into())),
-        ("auto_format", Json::Str(auto.name().into())),
-        ("target_rrn", Json::Num(1e-10)),
+    const RUNS: &[&str] = &[
+        "converged",
+        "iterations",
+        "final_rrn",
+        "basis_bits_per_value",
+    ];
+    type SolveCase<'a> = (
+        &'static str,
+        &'a dyn Fn() -> SolveResult,
+        SolveFp,
+        &'static [&'static str],
+    );
+    let table: [SolveCase; 7] = [
         (
-            "stagnation_matrix",
-            Json::Str(format!(
-                "conv_diff_3d {s2}^3 similarity-scaled (24 binades)"
-            )),
+            "cb_gmres_frsz2_21",
+            &|| pinned_solve(&a, &b, &opts),
+            SolveFp::History,
+            PINNED,
         ),
-        ("stagnation_rows", Json::Num(scaled.rows() as f64)),
-        ("stagnation_restart", Json::Num(30.0)),
-        ("stagnation_max_iters", Json::Num(1200.0)),
         (
-            "runs_matrix",
-            Json::Str(format!(
-                "conv_diff_3d {s2}^3 similarity-scaled (24 binades, runs of 16)"
-            )),
+            "cb_gmres_frsz2_21_auto",
+            &|| pinned_solve(auto_matrix.as_ref(), &b, &opts),
+            SolveFp::History,
+            PINNED,
         ),
-        ("runs_run_length", Json::Num(16.0)),
-        ("bidir_de_escalation_drop", Json::Num(10.0)),
-        ("bidir_de_escalation_cycles", Json::Num(1.0)),
+        (
+            "cb_gmres_frsz2_16_fixed",
+            &|| fixed16(&scaled, &b2, &x02),
+            SolveFp::Trajectory,
+            ESCALATING,
+        ),
+        (
+            "cb_gmres_adaptive",
+            &|| adaptive(false),
+            SolveFp::Trajectory,
+            ESCALATING,
+        ),
+        (
+            "cb_gmres_adaptive_bidir",
+            &|| adaptive(true),
+            SolveFp::Trajectory,
+            BIDIR,
+        ),
+        (
+            "cb_gmres_frsz2_16_runs",
+            &|| fixed16(&runs_m, &b3, &x03),
+            SolveFp::History,
+            RUNS,
+        ),
+        (
+            "cb_gmres_frsz2_ab",
+            &|| gmres::<Frsz2AdaptiveStore, _, _>(&runs_m, &b3, &x03, &stag_opts, &Identity),
+            SolveFp::History,
+            RUNS,
+        ),
     ];
-    (
-        emit_doc("solve", args.quick, config, &cases, "cb_gmres_frsz2_21"),
+    let mut cases = Vec::new();
+    for (name, run, kind, metrics) in table {
+        cases.extend(sweep(args, name, run, |r, _| solve_row(&r, kind, metrics)));
+    }
+
+    Suite {
+        config: vec![
+            ("matrix", Json::Str(format!("conv_diff_3d {s}^3"))),
+            ("rows", Json::Num(a.rows() as f64)),
+            ("format", Json::Str("frsz2_21".into())),
+            ("auto_format", Json::Str(auto.name().into())),
+            ("target_rrn", Json::Num(1e-10)),
+            (
+                "stagnation_matrix",
+                Json::Str(format!(
+                    "conv_diff_3d {s2}^3 similarity-scaled (24 binades)"
+                )),
+            ),
+            ("stagnation_rows", Json::Num(scaled.rows() as f64)),
+            ("stagnation_restart", Json::Num(30.0)),
+            ("stagnation_max_iters", Json::Num(1200.0)),
+            (
+                "runs_matrix",
+                Json::Str(format!(
+                    "conv_diff_3d {s2}^3 similarity-scaled (24 binades, runs of 16)"
+                )),
+            ),
+            ("runs_run_length", Json::Num(16.0)),
+            ("bidir_de_escalation_drop", Json::Num(10.0)),
+            ("bidir_de_escalation_cycles", Json::Num(1.0)),
+        ],
         cases,
-    )
+        speedup_case: "cb_gmres_frsz2_21",
+    }
 }
 
-/// Block CB-GMRES (schema v6): the pinned `cb_gmres_frsz2_21`
-/// operator and solver configuration, solved for b ∈ {1, 4, 16}
-/// right-hand sides through the shared-space block driver, against an
-/// in-suite single-solve reference with the identical configuration.
-/// The width-1 block case must reproduce the single solve's
-/// fingerprint byte for byte (the block driver delegates to the
-/// single-RHS driver at b = 1), enforced by [`enforce_cross_format`]
-/// at every thread count.
+const BLOCK_RULES: &[Rule] = &[
+    Rule::Same(&["block_solve_frsz2_21_ref", "block_solve_frsz2_21_b1"]),
+    Rule::Converges(
+        &[
+            "block_solve_frsz2_21_ref",
+            "block_solve_frsz2_21_b1",
+            "block_solve_frsz2_21_b4",
+            "block_solve_frsz2_21_b16",
+        ],
+        true,
+    ),
+];
+
+/// Block CB-GMRES: the pinned solve for b ∈ {1, 4, 16} right-hand
+/// sides through the shared-space block driver, beside an in-suite
+/// single-solve reference (the b = 1 block delegates to it).
 ///
-/// The wide cases run a width-scaled restart (12 instead of the
-/// paper case's 100): the shared basis holds `b·(restart+1)` columns,
-/// so a b = 16 block at the paper restart would need 16× the single
-/// solve's basis footprint, and per-RHS decode traffic grows with the
-/// square of the cycle length. Short cycles keep the b = 16 basis at
-/// ~2× the single case's columns and, on this operator, carry no
-/// iteration penalty (the boundary recompute refreshes every lane's
-/// explicit residual). `time_per_rhs_ms` and `spmv_gb_per_rhs` are the
-/// committed evidence: b = 16 beats the pinned b = 1 case per RHS
-/// while amortizing each operator sweep over the whole block.
-fn bench_block(args: &Args) -> (Json, Vec<CaseResult>) {
+/// The wide cases run a width-scaled restart (12 instead of 100): the
+/// shared basis holds `b·(restart+1)` columns, and per-RHS decode
+/// traffic grows with the square of the cycle length. Short cycles keep
+/// the b = 16 basis at ~2× the single case's columns and, on this
+/// operator, carry no iteration penalty.
+fn bench_block(args: &Args) -> Suite {
     let s = if args.quick { 12 } else { 20 };
     let a = gen::conv_diff_3d(s, s, s, [0.4, 0.2, 0.1], 0.2);
     let (_, b0) = spla::dense::manufactured_rhs(&a);
     let n = a.rows();
-    let opts = GmresOptions {
-        restart: 100,
-        max_iters: 5000,
-        target_rrn: 1e-10,
-        record_history: true,
-        ..GmresOptions::default()
-    };
-    // Width-scaled restart for the wide blocks (see the suite docs).
+    let opts = pinned_opts();
     let wide_restart = 12;
     let cfg = Frsz2Config::new(32, 21);
+    let storage = SparseMatrix::storage_bytes(&a) as f64;
     // RHS family: lane 0 is the pinned manufactured problem; lane
     // k > 0 solves `A·x = A·xsol_k` for a frequency- and phase-shifted
     // smooth `xsol_k`, so every lane has single-solve difficulty and
-    // the family is full-rank (a phase shift alone spans only a
-    // two-dimensional space of sinusoids, which would hand the shared
-    // seed a near-degenerate block).
+    // the family is full-rank.
     let rhs_family = |width: usize| -> Vec<Vec<f64>> {
         (0..width)
             .map(|k| {
@@ -995,53 +949,22 @@ fn bench_block(args: &Args) -> (Json, Vec<CaseResult>) {
             })
             .collect()
     };
-    let mut cases = Vec::new();
 
-    // Single-solve reference: exactly the solve suite's
-    // `cb_gmres_frsz2_21` case (same operator, options, store, and
-    // fingerprint formula), re-run here so the block suite carries its
-    // own pin — CI compares `block_solve_frsz2_21_b1` against it.
-    let x0 = vec![0.0; n];
-    for &threads in &args.threads {
-        let mut last: Option<SolveResult> = None;
-        let samples = time_under_pool(threads, args.runs, || {
-            last = Some(gmres_with(&a, &b0, &x0, &opts, &Identity, |rows, cols| {
-                Frsz2Store::with_config(cfg, rows, cols)
-            }))
-        });
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        let r = last.expect("at least one solve ran");
-        assert!(r.stats.converged, "reference solve failed to converge");
-        let mut h = Fnv::new();
-        h.push(r.stats.iterations as u64);
-        for point in &r.history {
-            h.push(point.rrn.to_bits());
-        }
-        cases.push(CaseResult {
-            name: "block_solve_frsz2_21_ref".into(),
-            threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![
-                ("width".into(), 1.0),
-                ("time_per_rhs_ms".into(), min_ms),
-                ("iterations".into(), r.stats.iterations as f64),
-                ("operator_sweeps".into(), r.stats.spmv_count as f64),
-                (
-                    "spmv_gb_per_rhs".into(),
-                    r.stats.spmv_count as f64 * SparseMatrix::storage_bytes(&a) as f64 / 1e9,
-                ),
-            ],
-            fingerprint: h.hex(),
-            format_trajectory: None,
-        });
-    }
-
+    let mut cases = sweep(
+        args,
+        "block_solve_frsz2_21_ref",
+        || pinned_solve(&a, &b0, &opts),
+        |r, t| {
+            let mut row = solve_row(&r, SolveFp::History, &["iterations", "operator_sweeps"]);
+            row.metrics
+                .splice(0..0, [("width", 1.0), ("time_per_rhs_ms", t.min_ms)]);
+            row.metrics
+                .push(("spmv_gb_per_rhs", r.stats.spmv_count as f64 * storage / 1e9));
+            row
+        },
+    );
     for width in [1usize, 4, 16] {
         let bs = rhs_family(width);
-        let name = format!("block_solve_frsz2_21_b{width}");
         // b = 1 keeps the paper restart (its fingerprint is pinned to
         // the single solve); the wide blocks run the width-scaled one.
         let wopts = GmresOptions {
@@ -1052,314 +975,179 @@ fn bench_block(args: &Args) -> (Json, Vec<CaseResult>) {
             },
             ..opts.clone()
         };
-        for &threads in &args.threads {
-            let mut last: Option<krylov::BlockSolveResult> = None;
-            let samples = time_under_pool(threads, args.runs, || {
-                last = Some(block_gmres_with(
-                    &a,
-                    &bs,
-                    None,
-                    &wopts,
-                    &Identity,
-                    |rows, cols| Frsz2Store::with_config(cfg, rows, cols),
-                ))
-            });
-            let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-            let r = last.expect("at least one solve ran");
-            assert!(
-                r.all_converged(),
-                "block solve (b = {width}) left an unconverged RHS"
-            );
-            // Per-lane fingerprint, lane order: at width 1 this is the
-            // single-solve formula verbatim, so the cross-format guard
-            // can compare it against `block_solve_frsz2_21_ref`.
-            let mut h = Fnv::new();
-            for (stats, history) in r.stats.iter().zip(&r.histories) {
-                h.push(stats.iterations as u64);
-                for point in history {
-                    h.push(point.rrn.to_bits());
-                }
-            }
-            let iterations: u64 = r.stats.iter().map(|s| s.iterations as u64).sum();
-            cases.push(CaseResult {
-                name: name.clone(),
-                threads,
-                runs: args.runs,
-                min_ms,
-                median_ms,
-                mean_ms,
+        cases.extend(sweep(
+            args,
+            &format!("block_solve_frsz2_21_b{width}"),
+            || {
+                block_gmres_with(&a, &bs, None, &wopts, &Identity, |rows, cols| {
+                    Frsz2Store::with_config(cfg, rows, cols)
+                })
+            },
+            |r, t| Row {
+                // Lane by lane, so width 1 is the single-solve formula.
+                fingerprint: fnv(r
+                    .stats
+                    .iter()
+                    .zip(&r.histories)
+                    .flat_map(|(s, h)| history_words(s.iterations, h))),
                 metrics: vec![
-                    ("width".into(), width as f64),
-                    ("restart".into(), wopts.restart as f64),
-                    ("time_per_rhs_ms".into(), min_ms / width as f64),
-                    ("iterations".into(), iterations as f64),
-                    ("operator_sweeps".into(), r.operator_sweeps as f64),
+                    ("width", width as f64),
+                    ("restart", wopts.restart as f64),
+                    ("time_per_rhs_ms", t.min_ms / width as f64),
                     (
-                        "spmv_gb_per_rhs".into(),
-                        r.operator_sweeps as f64 * SparseMatrix::storage_bytes(&a) as f64
-                            / width as f64
-                            / 1e9,
+                        "iterations",
+                        r.stats.iter().map(|s| s.iterations as u64).sum::<u64>() as f64,
+                    ),
+                    ("operator_sweeps", r.operator_sweeps as f64),
+                    (
+                        "spmv_gb_per_rhs",
+                        r.operator_sweeps as f64 * storage / width as f64 / 1e9,
                     ),
                 ],
-                fingerprint: h.hex(),
-                format_trajectory: None,
-            });
-        }
+                converged: Some(r.all_converged()),
+                ..Row::default()
+            },
+        ));
     }
-    // The b = 1 block solve IS the single solve — byte for byte, at
-    // every thread count. A divergence here fails the harness (and CI).
-    enforce_cross_format(
-        "block",
-        &["block_solve_frsz2_21_ref", "block_solve_frsz2_21_b1"],
-        &cases,
-    );
 
-    let config = vec![
-        ("matrix", Json::Str(format!("conv_diff_3d {s}^3"))),
-        ("rows", Json::Num(n as f64)),
-        ("format", Json::Str("frsz2_21".into())),
-        ("target_rrn", Json::Num(1e-10)),
-        ("restart", Json::Num(100.0)),
-        ("wide_restart", Json::Num(wide_restart as f64)),
-        (
-            "widths",
-            Json::Arr(vec![Json::Num(1.0), Json::Num(4.0), Json::Num(16.0)]),
-        ),
-    ];
-    (
-        emit_doc(
-            "block",
-            args.quick,
-            config,
-            &cases,
-            "block_solve_frsz2_21_b16",
-        ),
+    Suite {
+        config: vec![
+            ("matrix", Json::Str(format!("conv_diff_3d {s}^3"))),
+            ("rows", Json::Num(n as f64)),
+            ("format", Json::Str("frsz2_21".into())),
+            ("target_rrn", Json::Num(1e-10)),
+            ("restart", Json::Num(100.0)),
+            ("wide_restart", Json::Num(wide_restart as f64)),
+            (
+                "widths",
+                Json::Arr(vec![Json::Num(1.0), Json::Num(4.0), Json::Num(16.0)]),
+            ),
+        ],
         cases,
-    )
+        speedup_case: "block_solve_frsz2_21_b16",
+    }
 }
 
-/// s-step CB-GMRES (schema v7): the pinned `cb_gmres_frsz2_21`
-/// configuration solved through the s-step driver for s ∈ {1, 2, 4, 8}.
-///
-/// Three contracts are enforced in-harness, so a regenerated artifact
-/// cannot silently regress them:
-///
-/// * `sstep_solve_frsz2_21_s1` must reproduce the in-suite single-solve
-///   reference `sstep_solve_frsz2_21_ref` (itself exactly the solve
-///   suite's `cb_gmres_frsz2_21` case — same operator, options, store,
-///   and fingerprint formula) byte for byte at every thread count: the
-///   s = 1 driver delegates to the scalar cycle bit for bit.
-/// * Every s > 1 case must converge to the same explicit 1e-10 target
-///   with **strictly fewer** basis decode sweeps (`dot_sweeps +
-///   gemv_sweeps`) than the s = 1 case at the same thread count —
-///   the committed evidence that the matrix-powers panel amortizes
-///   per-iteration decode traffic.
-/// * No s > 1 case may breach its loss-of-orthogonality budget on this
-///   operator (`loo_breaches = 0`, `loo_max` recorded per case).
-fn bench_sstep(args: &Args) -> (Json, Vec<CaseResult>) {
+const SSTEP_WIDE: &[&str] = &[
+    "sstep_solve_frsz2_21_s2",
+    "sstep_solve_frsz2_21_s4",
+    "sstep_solve_frsz2_21_s8",
+];
+const SSTEP_RULES: &[Rule] = &[
+    Rule::Same(&["sstep_solve_frsz2_21_ref", "sstep_solve_frsz2_21_s1"]),
+    Rule::Converges(
+        &["sstep_solve_frsz2_21_ref", "sstep_solve_frsz2_21_s1"],
+        true,
+    ),
+    Rule::Converges(SSTEP_WIDE, true),
+    Rule::Metric(&["sstep_solve_frsz2_21_s1"], "loo_breaches", Cmp::Eq, 0.0),
+    Rule::Metric(SSTEP_WIDE, "loo_breaches", Cmp::Eq, 0.0),
+    Rule::Below(SSTEP_WIDE, "sstep_solve_frsz2_21_s1", "basis_sweeps"),
+];
+
+/// s-step CB-GMRES: the pinned solve through the s-step driver for
+/// s ∈ {1, 2, 4, 8}, beside an in-suite single-solve reference (the
+/// s = 1 driver delegates to it). Every s > 1 case must spend strictly
+/// fewer basis decode sweeps than s = 1: the matrix-powers panel
+/// amortizes per-iteration decode traffic.
+fn bench_sstep(args: &Args) -> Suite {
     let s_dim = if args.quick { 12 } else { 20 };
     let a = gen::conv_diff_3d(s_dim, s_dim, s_dim, [0.4, 0.2, 0.1], 0.2);
     let (_, b0) = spla::dense::manufactured_rhs(&a);
     let n = a.rows();
-    let opts = GmresOptions {
-        restart: 100,
-        max_iters: 5000,
-        target_rrn: 1e-10,
-        record_history: true,
-        ..GmresOptions::default()
-    };
-    let cfg = Frsz2Config::new(32, 21);
+    let opts = pinned_opts();
     let format = krylov::basis_format::by_name("frsz2_21").expect("frsz2_21 registered");
     let x0 = vec![0.0; n];
-    let mut cases = Vec::new();
+    const SWEEPS: [&str; 3] = ["dot_sweeps", "gemv_sweeps", "basis_sweeps"];
 
-    // Single-solve reference: exactly the solve suite's
-    // `cb_gmres_frsz2_21` case, re-run here so the sstep suite carries
-    // its own pin — CI compares `sstep_solve_frsz2_21_s1` against it.
-    for &threads in &args.threads {
-        let mut last: Option<SolveResult> = None;
-        let samples = time_under_pool(threads, args.runs, || {
-            last = Some(gmres_with(&a, &b0, &x0, &opts, &Identity, |rows, cols| {
-                Frsz2Store::with_config(cfg, rows, cols)
-            }))
-        });
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        let r = last.expect("at least one solve ran");
-        assert!(r.stats.converged, "reference solve failed to converge");
-        let mut h = Fnv::new();
-        h.push(r.stats.iterations as u64);
-        for point in &r.history {
-            h.push(point.rrn.to_bits());
-        }
-        cases.push(CaseResult {
-            name: "sstep_solve_frsz2_21_ref".into(),
-            threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![
-                ("s".into(), 1.0),
-                ("iterations".into(), r.stats.iterations as f64),
-                ("final_rrn".into(), r.stats.final_rrn),
-                ("dot_sweeps".into(), r.stats.basis_dot_sweeps as f64),
-                ("gemv_sweeps".into(), r.stats.basis_gemv_sweeps as f64),
-                (
-                    "basis_sweeps".into(),
-                    (r.stats.basis_dot_sweeps + r.stats.basis_gemv_sweeps) as f64,
-                ),
-            ],
-            fingerprint: h.hex(),
-            format_trajectory: None,
-        });
-    }
-
+    let mut cases = sweep(
+        args,
+        "sstep_solve_frsz2_21_ref",
+        || pinned_solve(&a, &b0, &opts),
+        |r, _| {
+            let mut row = solve_row(&r, SolveFp::History, &["iterations", "final_rrn"]);
+            row.metrics.insert(0, ("s", 1.0));
+            row.metrics
+                .extend(SWEEPS.map(|k| (k, solve_metric(&r.stats, k))));
+            row
+        },
+    );
     for s in [1usize, 2, 4, 8] {
-        let name = format!("sstep_solve_frsz2_21_s{s}");
         let sopts = SStepOptions {
             s,
             loo_budget: None,
             gmres: opts.clone(),
         };
-        for &threads in &args.threads {
-            let mut last: Option<SStepSolveResult> = None;
-            let samples = time_under_pool(threads, args.runs, || {
-                last = Some(sstep_gmres_dyn(
-                    &a,
-                    &b0,
-                    &x0,
-                    &sopts,
-                    &Identity,
-                    format.as_ref(),
-                ))
-            });
-            let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-            let r = last.expect("at least one solve ran");
-            assert!(
-                r.solve.stats.converged,
-                "s-step solve (s = {s}) failed to converge"
-            );
-            assert_eq!(
-                r.loo_breaches, 0,
-                "s-step solve (s = {s}) breached its LOO budget"
-            );
-            // Same fingerprint formula as the scalar solve cases: the
-            // s = 1 delegation makes it byte-equal to the reference.
-            let mut h = Fnv::new();
-            h.push(r.solve.stats.iterations as u64);
-            for point in &r.solve.history {
-                h.push(point.rrn.to_bits());
-            }
-            let stats = &r.solve.stats;
-            let loo_max = r.loo_per_cycle.iter().cloned().fold(0.0f64, f64::max);
-            cases.push(CaseResult {
-                name: name.clone(),
-                threads,
-                runs: args.runs,
-                min_ms,
-                median_ms,
-                mean_ms,
-                metrics: vec![
-                    ("s".into(), s as f64),
+        cases.extend(sweep(
+            args,
+            &format!("sstep_solve_frsz2_21_s{s}"),
+            || sstep_gmres_dyn(&a, &b0, &x0, &sopts, &Identity, format.as_ref()),
+            |r, _| {
+                let mut row = solve_row(&r.solve, SolveFp::History, &["iterations", "final_rrn"]);
+                let s_gated = r.s_per_cycle.iter().copied().max().unwrap_or(1);
+                row.metrics
+                    .splice(0..0, [("s", s as f64), ("s_gated", s_gated as f64)]);
+                row.metrics
+                    .extend(SWEEPS.map(|k| (k, solve_metric(&r.solve.stats, k))));
+                row.metrics.extend([
+                    ("operator_sweeps", r.solve.stats.spmv_count as f64),
                     (
-                        "s_gated".into(),
-                        r.s_per_cycle.iter().copied().max().unwrap_or(1) as f64,
+                        "loo_max",
+                        r.loo_per_cycle.iter().cloned().fold(0.0f64, f64::max),
                     ),
-                    ("iterations".into(), stats.iterations as f64),
-                    ("final_rrn".into(), stats.final_rrn),
-                    ("dot_sweeps".into(), stats.basis_dot_sweeps as f64),
-                    ("gemv_sweeps".into(), stats.basis_gemv_sweeps as f64),
-                    (
-                        "basis_sweeps".into(),
-                        (stats.basis_dot_sweeps + stats.basis_gemv_sweeps) as f64,
-                    ),
-                    ("operator_sweeps".into(), stats.spmv_count as f64),
-                    ("loo_max".into(), loo_max),
-                    ("loo_breaches".into(), r.loo_breaches as f64),
-                ],
-                fingerprint: h.hex(),
-                format_trajectory: None,
-            });
-        }
-    }
-    // The s = 1 s-step solve IS the scalar solve — byte for byte, at
-    // every thread count. A divergence here fails the harness (and CI).
-    enforce_cross_format(
-        "sstep",
-        &["sstep_solve_frsz2_21_ref", "sstep_solve_frsz2_21_s1"],
-        &cases,
-    );
-    // Committed evidence: every s > 1 case spends strictly fewer
-    // decode sweeps than s = 1 at the same thread count.
-    for &threads in &args.threads {
-        let sweeps = |name: &str| -> f64 {
-            cases
-                .iter()
-                .find(|c| c.name == name && c.threads == threads)
-                .and_then(|c| {
-                    c.metrics
-                        .iter()
-                        .find(|(k, _)| k == "basis_sweeps")
-                        .map(|(_, v)| *v)
-                })
-                .expect("basis_sweeps metric present")
-        };
-        let base = sweeps("sstep_solve_frsz2_21_s1");
-        for s in [2, 4, 8] {
-            let v = sweeps(&format!("sstep_solve_frsz2_21_s{s}"));
-            assert!(
-                v < base,
-                "s = {s} must amortize decode sweeps ({v} vs {base} at {threads} threads)"
-            );
-        }
+                    ("loo_breaches", r.loo_breaches as f64),
+                ]);
+                row
+            },
+        ));
     }
 
-    let config = vec![
-        ("matrix", Json::Str(format!("conv_diff_3d {s_dim}^3"))),
-        ("rows", Json::Num(n as f64)),
-        ("format", Json::Str("frsz2_21".into())),
-        ("target_rrn", Json::Num(1e-10)),
-        ("restart", Json::Num(100.0)),
-        (
-            "s_values",
-            Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(2.0),
-                Json::Num(4.0),
-                Json::Num(8.0),
-            ]),
-        ),
-        ("max_sstep", Json::Num(format.max_sstep() as f64)),
-    ];
-    (
-        emit_doc(
-            "sstep",
-            args.quick,
-            config,
-            &cases,
-            "sstep_solve_frsz2_21_s4",
-        ),
+    Suite {
+        config: vec![
+            ("matrix", Json::Str(format!("conv_diff_3d {s_dim}^3"))),
+            ("rows", Json::Num(n as f64)),
+            ("format", Json::Str("frsz2_21".into())),
+            ("target_rrn", Json::Num(1e-10)),
+            ("restart", Json::Num(100.0)),
+            (
+                "s_values",
+                Json::Arr(vec![
+                    Json::Num(1.0),
+                    Json::Num(2.0),
+                    Json::Num(4.0),
+                    Json::Num(8.0),
+                ]),
+            ),
+            ("max_sstep", Json::Num(format.max_sstep() as f64)),
+        ],
         cases,
-    )
+        speedup_case: "sstep_solve_frsz2_21_s4",
+    }
 }
 
-/// Concurrent `SolverService` throughput (schema v5): eight
-/// mixed-format jobs over two cached operators, run once sequentially
-/// (jobs one at a time) and once concurrently (`run_batch`, one OS
-/// thread per job), each job under a private pool of `threads` workers.
-/// The two cases must produce identical per-job fingerprints — the
-/// service's headline guarantee, checked three ways:
-///
-/// * in-harness, every job's fingerprint is compared against a
-///   1-thread sequential reference run,
-/// * [`enforce_cross_format`] pins `service_concurrent` to
-///   `service_sequential` at every thread count,
-/// * [`enforce_determinism`] pins both cases across thread counts.
-///
-/// The suite also demonstrates admission control: a budget sized below
-/// the float64 job's reservation must reject that job with the typed
-/// `BudgetExceeded` error (recorded in `config`), never a panic.
-fn bench_service(args: &Args) -> (Json, Vec<CaseResult>) {
+const SERVICE_RULES: &[Rule] = &[Rule::Same(&["service_sequential", "service_concurrent"])];
+
+/// The row of one service batch: the fingerprint chains the per-job
+/// fingerprints in submission order; `jobs_per_second` is the batch
+/// throughput at the min time.
+fn batch_row(job_fps: &[String], t: &Timing) -> Row {
+    Row {
+        fingerprint: fnv(job_fps.iter().flat_map(|fp| byte_words(fp))),
+        metrics: vec![
+            ("jobs", job_fps.len() as f64),
+            ("jobs_per_second", job_fps.len() as f64 / (t.min_ms * 1e-3)),
+        ],
+        ..Row::default()
+    }
+}
+
+/// `SolverService` throughput: eight mixed-format jobs over two cached
+/// operators, run sequentially (one job at a time) and concurrently
+/// (`run_batch_streaming`, one OS thread per job), each job under a
+/// private pool of `threads` workers. Every job must reproduce its
+/// 1-thread sequential reference fingerprint; an admission probe must
+/// see an over-budget job rejected with the typed `BudgetExceeded`.
+fn bench_service(args: &Args) -> Suite {
     use solver_service::{
         estimated_basis_bytes, AdmissionPolicy, BasisSelection, JobSpec, PrecondSpec,
         ServiceConfig, ServiceError, SolverService,
@@ -1380,10 +1168,9 @@ fn bench_service(args: &Args) -> (Json, Vec<CaseResult>) {
         .register_csr("wide", &wide, PrecondSpec::None)
         .expect("register wide");
 
-    // Eight mixed-format jobs over the two cached operators: every
-    // fixed ladder rung, the per-block adaptive store, the auto pick,
-    // and the escalating adaptive driver. Targets sit at or above each
-    // format's accuracy floor so every job converges.
+    // Every fixed ladder rung, the per-block adaptive store, the auto
+    // pick, and the escalating adaptive driver. Targets sit at or above
+    // each format's accuracy floor so every job converges.
     let job = |op: &str, b: &[f64], basis: BasisSelection, target: f64| {
         let mut spec = JobSpec::new(op, b.to_vec());
         spec.basis = basis;
@@ -1406,27 +1193,13 @@ fn bench_service(args: &Args) -> (Json, Vec<CaseResult>) {
         job("wide", &b_wide, fixed("float64"), 1e-10),
         job("wide", &b_wide, BasisSelection::Adaptive, 1e-10),
     ];
-
-    let job_fingerprint = |r: &SolveResult| -> String {
-        let mut h = Fnv::new();
-        h.push(r.stats.iterations as u64);
-        for point in &r.history {
-            h.push(point.rrn.to_bits());
-        }
-        for f in &r.stats.format_trajectory {
-            for byte in f.as_bytes() {
-                h.push(u64::from(*byte));
-            }
-        }
-        for v in &r.x {
-            h.push(v.to_bits());
-        }
-        h.hex()
+    let job_fps = |results: &[SolveResult]| -> Vec<String> {
+        results.iter().map(|r| fp_solve(r, SolveFp::Job)).collect()
     };
 
     // The acceptance reference: every job run sequentially on ONE
-    // thread. Concurrent runs at any thread count must reproduce these
-    // fingerprints byte for byte.
+    // thread. Both batch modes at every thread count must reproduce
+    // these fingerprints byte for byte.
     let reference: Vec<String> = specs
         .iter()
         .map(|spec| {
@@ -1436,7 +1209,7 @@ fn bench_service(args: &Args) -> (Json, Vec<CaseResult>) {
                 "service job on {:?} failed to converge (rrn {:.2e})",
                 spec.operator, r.stats.final_rrn
             );
-            job_fingerprint(&r)
+            fp_solve(&r, SolveFp::Job)
         })
         .collect();
 
@@ -1447,91 +1220,60 @@ fn bench_service(args: &Args) -> (Json, Vec<CaseResult>) {
         for spec in &mut specs_t {
             spec.threads = threads;
         }
-
-        // Sequential: jobs one at a time, each under its own pool.
-        let mut fps: Vec<String> = Vec::new();
-        let samples: Vec<f64> = {
-            let run = |fps: &mut Vec<String>| {
-                fps.clear();
-                for spec in &specs_t {
-                    fps.push(job_fingerprint(&service.solve(spec).expect("solve")));
-                }
-            };
-            run(&mut fps); // warmup
-            (0..args.runs)
-                .map(|_| {
-                    let t = Instant::now();
-                    run(&mut fps);
-                    t.elapsed().as_secs_f64() * 1e3
-                })
-                .collect()
-        };
-        assert_eq!(
-            fps, reference,
-            "sequential jobs diverged from the 1-thread reference"
-        );
-        push_service_case(
-            &mut cases,
+        cases.push(run_case(
             "service_sequential",
             threads,
-            args,
-            &samples,
-            &fps,
-        );
-
-        // Concurrent: the whole batch at once, one OS thread per job,
-        // with per-cycle telemetry streamed through a channel.
-        let mut fps: Vec<String> = Vec::new();
-        let mut cycles = 0u64;
-        let samples: Vec<f64> = {
-            let mut run = |fps: &mut Vec<String>| {
-                fps.clear();
-                let (tx, rx) = std::sync::mpsc::channel();
-                let results = service.run_batch_streaming(&specs_t, tx);
-                cycles = rx.try_iter().count() as u64;
-                for r in results {
-                    fps.push(job_fingerprint(&r.expect("batch solve")));
-                }
-            };
-            run(&mut fps); // warmup
-            (0..args.runs)
-                .map(|_| {
-                    let t = Instant::now();
-                    run(&mut fps);
-                    t.elapsed().as_secs_f64() * 1e3
-                })
-                .collect()
-        };
-        assert_eq!(
-            fps, reference,
-            "concurrent batch diverged from the sequential 1-thread reference"
-        );
-        telemetry_cycles = cycles;
-        push_service_case(
-            &mut cases,
+            args.runs,
+            || -> Vec<SolveResult> {
+                specs_t
+                    .iter()
+                    .map(|spec| service.solve(spec).expect("solve"))
+                    .collect()
+            },
+            |results, t| {
+                let fps = job_fps(&results);
+                assert_eq!(
+                    fps, reference,
+                    "sequential jobs diverged from the 1-thread reference"
+                );
+                batch_row(&fps, t)
+            },
+        ));
+        // Per-cycle telemetry streams through a channel.
+        cases.push(run_case(
             "service_concurrent",
             threads,
-            args,
-            &samples,
-            &fps,
-        );
+            args.runs,
+            || {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let results: Vec<SolveResult> = service
+                    .run_batch_streaming(&specs_t, tx)
+                    .into_iter()
+                    .map(|r| r.expect("batch solve"))
+                    .collect();
+                (results, rx.try_iter().count() as u64)
+            },
+            |(results, cycles), t| {
+                let fps = job_fps(&results);
+                assert_eq!(
+                    fps, reference,
+                    "concurrent batch diverged from the sequential 1-thread reference"
+                );
+                telemetry_cycles = cycles;
+                batch_row(&fps, t)
+            },
+        ));
     }
-    enforce_cross_format(
-        "service",
-        &["service_sequential", "service_concurrent"],
-        &cases,
-    );
 
-    // Admission control demo: a budget below the smooth float64 job's
-    // reservation rejects that job with a typed error — and leaves the
+    // Admission control: a budget below the smooth float64 job's
+    // reservation rejects that job with a typed error, and leaves the
     // ledger clean for a job that fits.
-    let opts = krylov::GmresOptions::default();
     let f64_cost = estimated_basis_bytes(
         krylov::basis_format::by_name("float64")
             .expect("float64")
             .as_ref(),
         smooth.rows(),
-        opts.restart,
+        GmresOptions::default().restart,
         1,
         1,
     );
@@ -1551,71 +1293,46 @@ fn bench_service(args: &Args) -> (Json, Vec<CaseResult>) {
         .expect("compressed job fits the budget");
     assert!(admitted.stats.converged);
 
-    let config = vec![
-        ("jobs", Json::Num(specs.len() as f64)),
-        ("operators", Json::Num(2.0)),
-        (
-            "smooth_matrix",
-            Json::Str(format!(
-                "conv_diff_3d {s}^3 ({} rows, {}, jacobi)",
-                smooth_info.rows, smooth_info.sparse_format
-            )),
-        ),
-        (
-            "wide_matrix",
-            Json::Str(format!(
-                "conv_diff_3d {s2}^3 similarity-scaled, 24 binades ({} rows, {})",
-                wide_info.rows, wide_info.sparse_format
-            )),
-        ),
-        ("telemetry_cycles", Json::Num(telemetry_cycles as f64)),
-        ("admission_budget_bytes", Json::Num((f64_cost - 1) as f64)),
-        ("admission_rejected_requested", Json::Num(rejected as f64)),
-    ];
-    (
-        emit_doc("service", args.quick, config, &cases, "service_concurrent"),
-        cases,
-    )
-}
-
-/// Append one service-suite case row: the fingerprint chains the
-/// per-job fingerprints in submission order, and `jobs_per_second` is
-/// the batch throughput at the min time.
-fn push_service_case(
-    cases: &mut Vec<CaseResult>,
-    name: &str,
-    threads: usize,
-    args: &Args,
-    samples: &[f64],
-    job_fps: &[String],
-) {
-    let (min_ms, median_ms, mean_ms) = min_median_mean(samples);
-    let mut h = Fnv::new();
-    for fp in job_fps {
-        for byte in fp.as_bytes() {
-            h.push(u64::from(*byte));
-        }
-    }
-    cases.push(CaseResult {
-        name: name.into(),
-        threads,
-        runs: args.runs,
-        min_ms,
-        median_ms,
-        mean_ms,
-        metrics: vec![
-            ("jobs".into(), job_fps.len() as f64),
+    Suite {
+        config: vec![
+            ("jobs", Json::Num(specs.len() as f64)),
+            ("operators", Json::Num(2.0)),
             (
-                "jobs_per_second".into(),
-                job_fps.len() as f64 / (min_ms * 1e-3),
+                "smooth_matrix",
+                Json::Str(format!(
+                    "conv_diff_3d {s}^3 ({} rows, {}, jacobi)",
+                    smooth_info.rows, smooth_info.sparse_format
+                )),
             ),
+            (
+                "wide_matrix",
+                Json::Str(format!(
+                    "conv_diff_3d {s2}^3 similarity-scaled, 24 binades ({} rows, {})",
+                    wide_info.rows, wide_info.sparse_format
+                )),
+            ),
+            ("telemetry_cycles", Json::Num(telemetry_cycles as f64)),
+            ("admission_budget_bytes", Json::Num((f64_cost - 1) as f64)),
+            ("admission_rejected_requested", Json::Num(rejected as f64)),
         ],
-        fingerprint: h.hex(),
-        format_trajectory: None,
-    });
+        cases,
+        speedup_case: "service_concurrent",
+    }
 }
 
-fn bench_faults(args: &Args) -> (Json, Vec<CaseResult>) {
+/// The faults cases assert their predicates inside every repetition
+/// (the injected fault fired, the solve recovered, the typed error
+/// surfaced, the resume is bit-identical, the probe changed no bits),
+/// and the suite aborts on any undetected corruption.
+const FAULTS_RULES: &[Rule] = &[];
+
+/// The fault-tolerance layer under deterministic injected failures: a
+/// basis bit-flip, a Hessenberg NaN, a stagnating format rescued by
+/// retry-with-escalation, an injected panic, and a deadline breach
+/// resumed from its checkpoint bit-identically, plus the cost of the
+/// restart-boundary probe. Every returned solution is judged by an
+/// independently recomputed `‖b − Ax‖/‖b‖`.
+fn bench_faults(args: &Args) -> Suite {
     use solver_service::{
         BasisBitFlip, BasisSelection, FaultSpec, JobSpec, PrecondSpec, RetryPolicy, ServiceError,
         SolveCheckpoint, SolverService,
@@ -1636,22 +1353,9 @@ fn bench_faults(args: &Args) -> (Json, Vec<CaseResult>) {
         .register_csr("wide", &wide, PrecondSpec::None)
         .expect("register wide");
 
-    let fingerprint = |r: &SolveResult| -> String {
-        let mut h = Fnv::new();
-        h.push(r.stats.iterations as u64);
-        for point in &r.history {
-            h.push(point.rrn.to_bits());
-        }
-        for v in &r.x {
-            h.push(v.to_bits());
-        }
-        h.hex()
-    };
-    // The independent judge: recompute `‖b − Ax‖/‖b‖` from scratch,
-    // outside the solver. A case that claims convergence while this
-    // residual misses the target is an UNDETECTED corruption — the
-    // failure mode the explicit-residual design makes structurally
-    // impossible, pinned here as a hard zero.
+    // The independent judge: a case that claims convergence while this
+    // residual misses the target is an UNDETECTED corruption, the
+    // failure mode the explicit-residual design rules out.
     let recomputed_rrn = |a: &spla::Csr, b: &[f64], x: &[f64]| -> f64 {
         let mut ax = vec![0.0; b.len()];
         a.spmv(x, &mut ax);
@@ -1663,6 +1367,7 @@ fn bench_faults(args: &Args) -> (Json, Vec<CaseResult>) {
             .sqrt();
         num / b.iter().map(|bi| bi * bi).sum::<f64>().sqrt()
     };
+    let misses = |rrn: f64, spec: &JobSpec| u64::from(rrn > spec.opts.target_rrn * 1.0001);
     let base = |op: &str, b: &[f64], format: &str, target: f64| {
         let mut spec = JobSpec::new(op, b.to_vec());
         spec.basis = BasisSelection::Fixed(format.into());
@@ -1672,33 +1377,27 @@ fn bench_faults(args: &Args) -> (Json, Vec<CaseResult>) {
         spec.opts.record_history = true;
         spec
     };
-    let timed = |runs: usize, f: &mut dyn FnMut()| -> Vec<f64> {
-        f(); // warmup
-        (0..runs)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .collect()
+    let solution_row = |r: &SolveResult, metrics: Vec<(&'static str, f64)>| Row {
+        fingerprint: fp_solve(r, SolveFp::Solution),
+        metrics,
+        ..Row::default()
     };
 
     let mut undetected = 0u64;
-    let mut fault_runs = 0u64;
-    let mut recoveries = 0u64;
     let mut retries_to_converge = 0u64;
     let mut checkpoint_bytes = 0u64;
     let mut probe_overhead_pct = 0.0f64;
     let mut cases = Vec::new();
     for &threads in &args.threads {
-        let with_threads = |mut spec: JobSpec| {
+        let smooth_job = || {
+            let mut spec = base("smooth", &b_smooth, "frsz2_21", 1e-8);
             spec.threads = threads;
             spec
         };
 
-        // --- basis bit-flip: corruption slows the solve, never fakes
-        // a solution ------------------------------------------------
-        let mut spec = with_threads(base("smooth", &b_smooth, "frsz2_21", 1e-8));
+        // Basis bit-flip: corruption slows the solve, never fakes a
+        // solution.
+        let mut spec = smooth_job();
         spec.fault = Some(FaultSpec {
             basis_flip: Some(BasisBitFlip {
                 nth_write: 3,
@@ -1707,238 +1406,198 @@ fn bench_faults(args: &Args) -> (Json, Vec<CaseResult>) {
             }),
             ..FaultSpec::default()
         });
-        let (mut fp, mut injected, mut rrn) = (String::new(), 0u64, 0.0f64);
-        let samples = timed(args.runs, &mut || {
-            let report = service.solve_report(&spec).expect("bitflip job");
-            assert!(
-                report.faults_injected >= 1,
-                "the planned bit flip must fire"
-            );
-            rrn = recomputed_rrn(&smooth, &b_smooth, &report.result.x);
-            if report.result.stats.converged && rrn > spec.opts.target_rrn * 1.0001 {
-                undetected += 1;
-            }
-            injected = report.faults_injected;
-            fp = fingerprint(&report.result);
-        });
-        fault_runs += 1;
-        recoveries += 1; // detection asserted above; the solve survived
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        cases.push(CaseResult {
-            name: "fault_bitflip_detected".into(),
+        cases.push(run_case(
+            "fault_bitflip_detected",
             threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![
-                ("faults_injected".into(), injected as f64),
-                ("recomputed_rrn".into(), rrn),
-                ("undetected_corruptions".into(), 0.0),
-            ],
-            fingerprint: fp,
-            format_trajectory: None,
-        });
+            args.runs,
+            || {
+                let report = service.solve_report(&spec).expect("bitflip job");
+                assert!(
+                    report.faults_injected >= 1,
+                    "the planned bit flip must fire"
+                );
+                let rrn = recomputed_rrn(&smooth, &b_smooth, &report.result.x);
+                if report.result.stats.converged {
+                    undetected += misses(rrn, &spec);
+                }
+                (report, rrn)
+            },
+            |(report, rrn), _| {
+                solution_row(
+                    &report.result,
+                    vec![
+                        ("faults_injected", report.faults_injected as f64),
+                        ("recomputed_rrn", rrn),
+                        ("undetected_corruptions", 0.0),
+                    ],
+                )
+            },
+        ));
 
-        // --- NaN Hessenberg: poisoned projection becomes a typed
-        // breakdown, and the restart recovers -----------------------
-        let mut spec = with_threads(base("smooth", &b_smooth, "frsz2_21", 1e-8));
+        // NaN Hessenberg: the poisoned projection becomes a typed
+        // breakdown, and the restart recovers.
+        let mut spec = smooth_job();
         spec.fault = Some(FaultSpec {
             nan_hessenberg_at: Some(7),
             ..FaultSpec::default()
         });
-        let (mut fp, mut breakdowns, mut rrn) = (String::new(), 0u64, 0.0f64);
-        let samples = timed(args.runs, &mut || {
-            let r = service.solve(&spec).expect("nan job");
-            assert!(
-                r.stats.breakdowns >= 1,
-                "the injected NaN must be detected as a breakdown"
-            );
-            assert!(r.stats.converged, "the restart must recover from it");
-            rrn = recomputed_rrn(&smooth, &b_smooth, &r.x);
-            if rrn > spec.opts.target_rrn * 1.0001 {
-                undetected += 1;
-            }
-            breakdowns = r.stats.breakdowns as u64;
-            fp = fingerprint(&r);
-        });
-        fault_runs += 1;
-        recoveries += 1;
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        cases.push(CaseResult {
-            name: "fault_nan_hessenberg_breakdown".into(),
+        cases.push(run_case(
+            "fault_nan_hessenberg_breakdown",
             threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![
-                ("breakdowns".into(), breakdowns as f64),
-                ("recomputed_rrn".into(), rrn),
-                ("undetected_corruptions".into(), 0.0),
-            ],
-            fingerprint: fp,
-            format_trajectory: None,
-        });
-
-        // --- retry with escalation: frsz2_16 stagnates on the
-        // wide-range operator; the ladder walk recovers --------------
-        let mut spec = with_threads(base("wide", &b_wide, "frsz2_16", 1e-10));
-        spec.retry = Some(RetryPolicy::quick(3));
-        let (mut fp, mut attempts) = (String::new(), 0u64);
-        let samples = timed(args.runs, &mut || {
-            let report = service.solve_report(&spec).expect("retry job");
-            assert!(report.result.stats.converged, "escalation must recover");
-            assert!(report.attempts >= 2, "frsz2_16 cannot reach 1e-10");
-            for (k, name) in report.formats_tried.iter().enumerate() {
-                assert_eq!(
-                    name, ESCALATION_LADDER[k],
-                    "retries must walk the ladder one rung at a time"
+            args.runs,
+            || {
+                let r = service.solve(&spec).expect("nan job");
+                assert!(
+                    r.stats.breakdowns >= 1,
+                    "the injected NaN must be detected as a breakdown"
                 );
-            }
-            let rrn = recomputed_rrn(&wide, &b_wide, &report.result.x);
-            if rrn > spec.opts.target_rrn * 1.0001 {
-                undetected += 1;
-            }
-            attempts = report.attempts as u64;
-            fp = fingerprint(&report.result);
-        });
-        fault_runs += 1;
-        recoveries += 1;
-        retries_to_converge = attempts - 1;
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        cases.push(CaseResult {
-            name: "fault_retry_escalation_recovers".into(),
-            threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![
-                ("attempts".into(), attempts as f64),
-                ("retries_to_converge".into(), (attempts - 1) as f64),
-            ],
-            fingerprint: fp,
-            format_trajectory: None,
-        });
+                assert!(r.stats.converged, "the restart must recover from it");
+                let rrn = recomputed_rrn(&smooth, &b_smooth, &r.x);
+                undetected += misses(rrn, &spec);
+                (r, rrn)
+            },
+            |(r, rrn), _| {
+                solution_row(
+                    &r,
+                    vec![
+                        ("breakdowns", r.stats.breakdowns as f64),
+                        ("recomputed_rrn", rrn),
+                        ("undetected_corruptions", 0.0),
+                    ],
+                )
+            },
+        ));
 
-        // --- injected panic: caught at the job boundary, retried at
-        // the same rung ----------------------------------------------
-        let mut doomed = with_threads(base("smooth", &b_smooth, "frsz2_21", 1e-8));
-        doomed.fault = Some(FaultSpec {
+        // Retry with escalation: frsz2_16 stagnates on the wide-range
+        // operator; the ladder walk recovers.
+        let mut spec = base("wide", &b_wide, "frsz2_16", 1e-10);
+        spec.threads = threads;
+        spec.retry = Some(RetryPolicy::quick(3));
+        cases.push(run_case(
+            "fault_retry_escalation_recovers",
+            threads,
+            args.runs,
+            || {
+                let report = service.solve_report(&spec).expect("retry job");
+                assert!(report.result.stats.converged, "escalation must recover");
+                assert!(report.attempts >= 2, "frsz2_16 cannot reach 1e-10");
+                for (k, name) in report.formats_tried.iter().enumerate() {
+                    assert_eq!(
+                        name, ESCALATION_LADDER[k],
+                        "retries must walk the ladder one rung at a time"
+                    );
+                }
+                let rrn = recomputed_rrn(&wide, &b_wide, &report.result.x);
+                undetected += misses(rrn, &spec);
+                report
+            },
+            |report, _| {
+                let retries = report.attempts as u64 - 1;
+                retries_to_converge = retries;
+                solution_row(
+                    &report.result,
+                    vec![
+                        ("attempts", report.attempts as f64),
+                        ("retries_to_converge", retries as f64),
+                    ],
+                )
+            },
+        ));
+
+        // Injected panic: caught at the job boundary as a typed error,
+        // then retried at the same rung.
+        let mut spec = smooth_job();
+        spec.fault = Some(FaultSpec {
             panic_on_attempt: Some(0),
             ..FaultSpec::default()
         });
-        match service.solve(&doomed) {
+        match service.solve(&spec) {
             Err(ServiceError::JobPanicked { attempts: 1, .. }) => {}
             other => panic!("expected JobPanicked, got {other:?}"),
         }
-        let mut spec = doomed.clone();
         spec.retry = Some(RetryPolicy::quick(1));
-        let mut fp = String::new();
-        let samples = timed(args.runs, &mut || {
-            let report = service.solve_report(&spec).expect("retried panic job");
-            assert!(report.result.stats.converged);
-            assert_eq!(report.attempts, 2, "attempt 0 panics, attempt 1 is clean");
-            let rrn = recomputed_rrn(&smooth, &b_smooth, &report.result.x);
-            if rrn > spec.opts.target_rrn * 1.0001 {
-                undetected += 1;
-            }
-            fp = fingerprint(&report.result);
-        });
-        fault_runs += 1;
-        recoveries += 1;
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        cases.push(CaseResult {
-            name: "fault_job_panic_isolated".into(),
+        cases.push(run_case(
+            "fault_job_panic_isolated",
             threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![("attempts".into(), 2.0)],
-            fingerprint: fp,
-            format_trajectory: None,
-        });
+            args.runs,
+            || {
+                let report = service.solve_report(&spec).expect("retried panic job");
+                assert!(report.result.stats.converged);
+                assert_eq!(report.attempts, 2, "attempt 0 panics, attempt 1 is clean");
+                let rrn = recomputed_rrn(&smooth, &b_smooth, &report.result.x);
+                undetected += misses(rrn, &spec);
+                report
+            },
+            |report, _| solution_row(&report.result, vec![("attempts", report.attempts as f64)]),
+        ));
 
-        // --- deadline + checkpoint + resume: halt at the first
-        // boundary, resume bit-identically ---------------------------
-        let plain = with_threads(base("smooth", &b_smooth, "frsz2_21", 1e-8));
+        // Deadline + checkpoint + resume: halt at the first boundary,
+        // resume bit-identically.
+        let plain = smooth_job();
         let reference = service.solve(&plain).expect("reference solve");
         assert!(reference.stats.restarts >= 2, "need several boundaries");
-        let reference_fp = fingerprint(&reference);
+        let reference_fp = fp_solve(&reference, SolveFp::Solution);
         let mut rushed = plain.clone();
         rushed.deadline = Some(Duration::ZERO);
         rushed.fault = Some(FaultSpec {
             sleep_per_boundary_ms: 1,
             ..FaultSpec::default()
         });
-        let mut fp = String::new();
-        let samples = timed(args.runs, &mut || {
-            let err = service.solve(&rushed).expect_err("deadline must fire");
-            let ServiceError::DeadlineExceeded { checkpoint, .. } = err else {
-                panic!("expected DeadlineExceeded");
-            };
-            assert_eq!(checkpoint.restarts, 0, "halted at the entry boundary");
-            let bytes = checkpoint.encode(None);
-            checkpoint_bytes = bytes.len() as u64;
-            let restored = SolveCheckpoint::decode(&bytes, None).expect("decode checkpoint");
-            let mut resumed = plain.clone();
-            resumed.resume = Some(Box::new(restored));
-            let r = service.solve(&resumed).expect("resumed solve");
-            fp = fingerprint(&r);
-            assert_eq!(
-                fp, reference_fp,
-                "resume must be bit-identical to the uninterrupted solve"
-            );
-        });
-        fault_runs += 1;
-        recoveries += 1;
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        cases.push(CaseResult {
-            name: "fault_deadline_checkpoint_resume".into(),
+        cases.push(run_case(
+            "fault_deadline_checkpoint_resume",
             threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![
-                ("checkpoint_bytes".into(), checkpoint_bytes as f64),
-                ("resume_bit_identical".into(), 1.0),
-            ],
-            fingerprint: fp.clone(),
-            format_trajectory: None,
-        });
+            args.runs,
+            || {
+                let err = service.solve(&rushed).expect_err("deadline must fire");
+                let ServiceError::DeadlineExceeded { checkpoint, .. } = err else {
+                    panic!("expected DeadlineExceeded");
+                };
+                assert_eq!(checkpoint.restarts, 0, "halted at the entry boundary");
+                let bytes = checkpoint.encode(None);
+                let restored = SolveCheckpoint::decode(&bytes, None).expect("decode checkpoint");
+                let mut resumed = plain.clone();
+                resumed.resume = Some(Box::new(restored));
+                let r = service.solve(&resumed).expect("resumed solve");
+                assert_eq!(
+                    fp_solve(&r, SolveFp::Solution),
+                    reference_fp,
+                    "resume must be bit-identical to the uninterrupted solve"
+                );
+                (r, bytes.len() as u64)
+            },
+            |(r, bytes), _| {
+                checkpoint_bytes = bytes;
+                solution_row(
+                    &r,
+                    vec![
+                        ("checkpoint_bytes", bytes as f64),
+                        ("resume_bit_identical", 1.0),
+                    ],
+                )
+            },
+        ));
 
-        // --- checkpoint overhead: the boundary probe must be a pure
-        // spectator — same bits, negligible time ---------------------
-        let plain_samples = timed(args.runs, &mut || {
-            fp = fingerprint(&service.solve(&plain).expect("plain solve"));
-        });
-        let plain_fp = fp.clone();
+        // Checkpoint overhead: the boundary probe must be a pure
+        // spectator, same bits at negligible time. The plain timing is
+        // only the baseline of the probed row.
+        let name = "fault_checkpoint_overhead";
+        let solve = |spec: &JobSpec| service.solve(spec).expect("overhead solve");
+        let row = |r: SolveResult, _: &Timing| solution_row(&r, Vec::new());
+        let plain_case = run_case(name, threads, args.runs, || solve(&plain), row);
+        let plain_min = plain_case.timing.min_ms;
         let mut probed = plain.clone();
         probed.deadline = Some(Duration::from_secs(3600)); // arms the probe, never fires
-        let samples = timed(args.runs, &mut || {
-            fp = fingerprint(&service.solve(&probed).expect("probed solve"));
-        });
-        assert_eq!(fp, plain_fp, "the boundary probe must not change bits");
-        let (plain_min, _, _) = min_median_mean(&plain_samples);
-        let (min_ms, median_ms, mean_ms) = min_median_mean(&samples);
-        probe_overhead_pct = (min_ms - plain_min) / plain_min * 100.0;
-        cases.push(CaseResult {
-            name: "fault_checkpoint_overhead".into(),
-            threads,
-            runs: args.runs,
-            min_ms,
-            median_ms,
-            mean_ms,
-            metrics: vec![
-                ("plain_min_ms".into(), plain_min),
-                ("probe_overhead_percent".into(), probe_overhead_pct),
-            ],
-            fingerprint: fp.clone(),
-            format_trajectory: None,
-        });
+        let mut case = run_case(name, threads, args.runs, || solve(&probed), row);
+        assert_eq!(
+            case.row.fingerprint, plain_case.row.fingerprint,
+            "the boundary probe must not change bits"
+        );
+        probe_overhead_pct = (case.timing.min_ms - plain_min) / plain_min * 100.0;
+        case.row.metrics = vec![
+            ("plain_min_ms", plain_min),
+            ("probe_overhead_percent", probe_overhead_pct),
+        ];
+        cases.push(case);
     }
 
     assert_eq!(
@@ -1946,41 +1605,36 @@ fn bench_faults(args: &Args) -> (Json, Vec<CaseResult>) {
         "an injected fault produced a false convergence — the explicit-residual \
          detection contract is broken"
     );
-    let config = vec![
-        (
-            "smooth_matrix",
-            Json::Str(format!(
-                "conv_diff_3d {s}^3 ({} rows, jacobi)",
-                smooth.rows()
-            )),
-        ),
-        (
-            "wide_matrix",
-            Json::Str(format!(
-                "conv_diff_3d 6^3 similarity-scaled, 24 binades ({} rows)",
-                wide.rows()
-            )),
-        ),
-        ("fault_runs", Json::Num(fault_runs as f64)),
-        (
-            "recovery_success_rate",
-            Json::Num(recoveries as f64 / fault_runs as f64),
-        ),
-        ("retries_to_converge", Json::Num(retries_to_converge as f64)),
-        ("checkpoint_bytes", Json::Num(checkpoint_bytes as f64)),
-        ("probe_overhead_percent", Json::Num(probe_overhead_pct)),
-        ("undetected_corruptions", Json::Num(undetected as f64)),
-    ];
-    (
-        emit_doc(
-            "faults",
-            args.quick,
-            config,
-            &cases,
-            "fault_bitflip_detected",
-        ),
+    // Every row except the overhead probe's ran one fault class, and a
+    // fault case that does not recover aborts the run before its row
+    // exists.
+    let fault_runs = cases.len() - args.threads.len();
+    Suite {
+        config: vec![
+            (
+                "smooth_matrix",
+                Json::Str(format!(
+                    "conv_diff_3d {s}^3 ({} rows, jacobi)",
+                    smooth.rows()
+                )),
+            ),
+            (
+                "wide_matrix",
+                Json::Str(format!(
+                    "conv_diff_3d 6^3 similarity-scaled, 24 binades ({} rows)",
+                    wide.rows()
+                )),
+            ),
+            ("fault_runs", Json::Num(fault_runs as f64)),
+            ("recovery_success_rate", Json::Num(1.0)),
+            ("retries_to_converge", Json::Num(retries_to_converge as f64)),
+            ("checkpoint_bytes", Json::Num(checkpoint_bytes as f64)),
+            ("probe_overhead_percent", Json::Num(probe_overhead_pct)),
+            ("undetected_corruptions", Json::Num(undetected as f64)),
+        ],
         cases,
-    )
+        speedup_case: "fault_bitflip_detected",
+    }
 }
 
 fn validate_files(files: &[String]) {
@@ -2006,10 +1660,7 @@ fn validate_files(files: &[String]) {
 /// CI guard over *committed* solve documents: every
 /// `cb_gmres_adaptive_bidir` case must report at least one escalation
 /// and one de-escalation, and its trajectory must actually step up the
-/// [`ESCALATION_LADDER`] before stepping back down. This is what keeps
-/// a committed `BENCH_solve.json` honest about bidirectionality — a
-/// regenerated artifact whose driver silently stopped de-escalating
-/// fails here, not at review time.
+/// [`ESCALATION_LADDER`] before stepping back down.
 fn check_bidirectional_files(files: &[String]) {
     let rung = |name: &str| -> Option<usize> { ESCALATION_LADDER.iter().position(|&f| f == name) };
     let mut failed = false;
@@ -2083,6 +1734,19 @@ fn check_bidirectional_files(files: &[String]) {
     println!("bidirectional trajectory ok ({checked} case rows)");
 }
 
+type SuiteFn = fn(&Args) -> Suite;
+
+/// Every suite, in emission order, with the rules [`check`] enforces.
+const SUITES: [(&str, SuiteFn, &[Rule]); 7] = [
+    ("spmv", bench_spmv, SPMV_RULES),
+    ("codec", bench_codec, CODEC_RULES),
+    ("solve", bench_solve, SOLVE_RULES),
+    ("service", bench_service, SERVICE_RULES),
+    ("block", bench_block, BLOCK_RULES),
+    ("sstep", bench_sstep, SSTEP_RULES),
+    ("faults", bench_faults, FAULTS_RULES),
+];
+
 fn main() {
     let args = parse_args();
     if !args.validate.is_empty() {
@@ -2102,37 +1766,34 @@ fn main() {
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut table_rows: Vec<Vec<String>> = Vec::new();
-    for (bench, build) in [
-        ("spmv", bench_spmv as fn(&Args) -> (Json, Vec<CaseResult>)),
-        ("codec", bench_codec),
-        ("solve", bench_solve),
-        ("service", bench_service),
-        ("block", bench_block),
-        ("sstep", bench_sstep),
-        ("faults", bench_faults),
-    ] {
-        let (doc, cases) = build(&args);
-        enforce_determinism(bench, &cases);
-        let path = report::write_bench_json(bench, &doc).expect("write json");
-        println!("wrote {path}");
-        for c in &cases {
+    for (bench, run, rules) in SUITES {
+        let suite = run(&args);
+        if let Err(e) = check(bench, &suite.cases, rules) {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+        for c in &suite.cases {
+            let t = &c.timing;
             csv_rows.push(vec![
                 bench.to_string(),
                 c.name.clone(),
                 c.threads.to_string(),
                 c.runs.to_string(),
-                format!("{:.6}", c.min_ms),
-                format!("{:.6}", c.median_ms),
-                format!("{:.6}", c.mean_ms),
+                format!("{:.6}", t.min_ms),
+                format!("{:.6}", t.median_ms),
+                format!("{:.6}", t.mean_ms),
             ]);
             table_rows.push(vec![
                 c.name.clone(),
                 c.threads.to_string(),
-                report::fmt_g(c.min_ms),
-                report::fmt_g(c.median_ms),
-                c.fingerprint[..8].to_string(),
+                report::fmt_g(t.min_ms),
+                report::fmt_g(t.median_ms),
+                c.row.fingerprint[..8].to_string(),
             ]);
         }
+        let doc = emit_doc(bench, args.quick, suite);
+        let path = report::write_bench_json(bench, &doc).expect("write json");
+        println!("wrote {path}");
         if let Some(s) = doc.get("speedup") {
             println!(
                 "  speedup {}x at {} threads (vs {})",
@@ -2161,4 +1822,113 @@ fn main() {
         &table_rows,
     );
     println!("(csv: {csv})");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(name: &str, threads: usize, fingerprint: &str) -> CaseResult {
+        run_case(
+            name,
+            threads,
+            1,
+            || (),
+            |(), _| Row {
+                fingerprint: fingerprint.to_string(),
+                metrics: vec![("basis_sweeps", 10.0)],
+                converged: Some(true),
+                ..Row::default()
+            },
+        )
+    }
+
+    const PAIR: &[Rule] = &[Rule::Same(&["fused", "reference"])];
+
+    #[test]
+    fn group_check_accepts_equal_fingerprints() {
+        let cases = [
+            row("fused", 1, "aa"),
+            row("fused", 2, "aa"),
+            row("reference", 1, "aa"),
+            row("reference", 2, "aa"),
+        ];
+        assert_eq!(check("t", &cases, PAIR), Ok(()));
+    }
+
+    #[test]
+    fn group_check_fails_on_a_divergent_fingerprint() {
+        let cases = [
+            row("fused", 1, "aa"),
+            row("fused", 2, "aa"),
+            row("reference", 1, "bb"),
+            row("reference", 2, "bb"),
+        ];
+        let err = check("t", &cases, PAIR).unwrap_err();
+        assert!(
+            err.starts_with("CHECK FAILED in t/reference at 1 threads: fingerprint bb"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn group_check_fails_on_a_missing_member() {
+        let cases = [row("fused", 1, "aa"), row("fused", 2, "aa")];
+        let err = check("t", &cases, PAIR).unwrap_err();
+        assert!(err.contains("reference produced no rows"), "{err}");
+        // A member present at fewer thread counts than the others is
+        // missing there too.
+        let cases = [
+            row("fused", 1, "aa"),
+            row("fused", 2, "aa"),
+            row("reference", 2, "aa"),
+        ];
+        let err = check("t", &cases, &[Rule::Same(&["reference", "fused"])]).unwrap_err();
+        assert!(err.contains("no row at 1 threads"), "{err}");
+    }
+
+    #[test]
+    fn every_case_must_agree_with_itself_across_threads() {
+        let cases = [row("solo", 1, "aa"), row("solo", 4, "ab")];
+        let err = check("t", &cases, &[]).unwrap_err();
+        assert!(err.starts_with("DETERMINISM VIOLATION in t/solo"), "{err}");
+    }
+
+    #[test]
+    fn predicates_fail_on_a_violating_row() {
+        let mut stagnated = row("fixed", 1, "aa");
+        stagnated.row.converged = Some(false);
+        let cases = [stagnated, row("wide", 1, "bb")];
+        let verdict = |rule: Rule| check("t", &cases, &[rule]).is_ok();
+        assert!(verdict(Rule::Converges(&["fixed"], false)));
+        assert!(!verdict(Rule::Converges(&["fixed", "wide"], false)));
+        assert!(!verdict(Rule::Metric(
+            &["wide"],
+            "basis_sweeps",
+            Cmp::Lt,
+            10.0
+        )));
+        assert!(verdict(Rule::Metric(
+            &["wide"],
+            "basis_sweeps",
+            Cmp::Eq,
+            10.0
+        )));
+        assert!(!verdict(Rule::Metric(&["wide"], "loo_max", Cmp::Eq, 0.0)));
+        assert!(!verdict(Rule::Below(&["wide"], "fixed", "basis_sweeps")));
+    }
+
+    #[test]
+    fn fingerprint_formulas_are_fnv1a_over_words() {
+        // FNV-1a of no input is the offset basis.
+        assert_eq!(fnv([]), "cbf29ce484222325");
+        assert_eq!(
+            fp_f64s(&[1.5, -0.0]),
+            fnv([1.5f64.to_bits(), (-0.0f64).to_bits()])
+        );
+        assert_eq!(
+            fnv(byte_words("ab")),
+            fnv([u64::from(b'a'), u64::from(b'b')])
+        );
+    }
 }

@@ -3,9 +3,9 @@
 //! analogue parameters can be tuned to the paper's qualitative shape.
 //! Not one of the paper's figures — a development tool.
 
-use bench::formats::standard_formats;
 use bench::report::{fmt_g, print_table};
-use bench::runner::{default_opts, prepare, solve_problem, Cli};
+use bench::runner::{default_opts, prepare, solve_problem, Cli, PAPER_FORMATS};
+use krylov::Identity;
 
 fn main() {
     let cli = Cli::parse();
@@ -13,17 +13,15 @@ fn main() {
     for name in cli.matrices() {
         let p = prepare(name, &cli);
         let opts = default_opts(&p, &cli);
-        for spec in standard_formats() {
-            if let Some(only) = &cli.format {
-                if spec.name() != *only {
-                    continue;
-                }
+        for format in PAPER_FORMATS {
+            if cli.format.as_deref().is_some_and(|f| f != format) {
+                continue;
             }
-            let r = solve_problem(&p, &opts, &spec);
+            let r = solve_problem(&p, &opts, format, &Identity);
             rows.push(vec![
                 name.to_string(),
                 format!("{}", p.matrix.rows()),
-                spec.name(),
+                format.to_string(),
                 format!("{}", r.stats.iterations),
                 if r.stats.converged { "yes" } else { "NO" }.to_string(),
                 fmt_g(r.stats.final_rrn),

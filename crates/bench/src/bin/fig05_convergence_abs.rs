@@ -13,7 +13,7 @@
 //! whole figure right-preconditioned: every series shares the same
 //! `M⁻¹`, so the comparison stays at equal basis traffic.
 
-use bench::runner::{convergence_histories_precond, default_opts, prepare, report_histories, Cli};
+use bench::runner::{convergence_histories, default_opts, prepare, report_histories, Cli};
 use krylov::Preconditioner;
 
 fn main() {
@@ -34,6 +34,6 @@ fn main() {
         "float64", "float32", "float16", "frsz2_32", "zfp_06", "zfp_10", "sz3_06", "sz3_07",
         "sz3_08",
     ]);
-    let runs = convergence_histories_precond(&p, &opts, &formats, &precond);
+    let runs = convergence_histories(&p, &opts, &formats, &precond);
     report_histories("fig05_convergence_abs", &runs);
 }

@@ -9,6 +9,7 @@
 //! compressors.
 
 use bench::runner::{convergence_histories, default_opts, prepare, report_histories, Cli};
+use krylov::Identity;
 
 fn main() {
     let mut cli = Cli::parse();
@@ -32,6 +33,6 @@ fn main() {
         "zfp_fr_16",
         "zfp_fr_32",
     ];
-    let runs = convergence_histories(&p, &opts, &formats);
+    let runs = convergence_histories(&p, &opts, &formats, &Identity);
     report_histories("fig06_convergence_pwrel", &runs);
 }

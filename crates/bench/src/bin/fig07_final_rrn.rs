@@ -5,9 +5,9 @@
 //! matrix except float16 on PR02R and StocF-1465, where the information
 //! loss is too large.
 
-use bench::formats::standard_formats;
 use bench::report::{fmt_g, print_table, write_csv};
-use bench::runner::{default_opts, prepare, solve_problem, Cli};
+use bench::runner::{default_opts, prepare, solve_problem, Cli, PAPER_FORMATS};
+use krylov::Identity;
 
 fn main() {
     let mut cli = Cli::parse();
@@ -19,14 +19,13 @@ fn main() {
     for name in cli.matrices() {
         let p = prepare(name, &cli);
         let opts = default_opts(&p, &cli);
-        for spec in standard_formats() {
-            if cli.format.as_deref().is_some_and(|f| f != spec.name()) {
+        for format in PAPER_FORMATS {
+            if cli.format.as_deref().is_some_and(|f| f != format) {
                 continue;
             }
-            let r = solve_problem(&p, &opts, &spec);
+            let r = solve_problem(&p, &opts, format, &Identity);
             eprintln!(
-                "  {name} {}: rrn {:.2e} ({})",
-                spec.name(),
+                "  {name} {format}: rrn {:.2e} ({})",
                 r.stats.final_rrn,
                 if r.stats.converged {
                     "ok"
@@ -36,14 +35,14 @@ fn main() {
             );
             rows.push(vec![
                 name.to_string(),
-                spec.name(),
+                format.to_string(),
                 fmt_g(opts.target_rrn),
                 fmt_g(r.stats.final_rrn),
                 if r.stats.converged { "yes" } else { "NO" }.to_string(),
             ]);
             csv.push(vec![
                 name.to_string(),
-                spec.name(),
+                format.to_string(),
                 format!("{:e}", opts.target_rrn),
                 format!("{:e}", r.stats.final_rrn),
                 r.stats.converged.to_string(),

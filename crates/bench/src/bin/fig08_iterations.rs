@@ -6,9 +6,9 @@
 //! ~3.5x float64; float16 scores 0 on PR02R and StocF-1465; everything
 //! else barely differs.
 
-use bench::formats::standard_formats;
 use bench::report::{print_table, write_csv};
-use bench::runner::{default_opts, prepare, solve_problem, Cli};
+use bench::runner::{default_opts, prepare, solve_problem, Cli, PAPER_FORMATS};
+use krylov::Identity;
 
 fn main() {
     let mut cli = Cli::parse();
@@ -22,11 +22,10 @@ fn main() {
         let opts = default_opts(&p, &cli);
         let mut f64_iters = None;
         let mut cells = Vec::new();
-        for spec in standard_formats() {
-            let r = solve_problem(&p, &opts, &spec);
+        for format in PAPER_FORMATS {
+            let r = solve_problem(&p, &opts, format, &Identity);
             eprintln!(
-                "  {name} {}: {} iterations ({})",
-                spec.name(),
+                "  {name} {format}: {} iterations ({})",
                 r.stats.iterations,
                 if r.stats.converged {
                     "ok"
@@ -34,10 +33,10 @@ fn main() {
                     "no convergence"
                 }
             );
-            if spec.name() == "float64" {
+            if format == "float64" {
                 f64_iters = Some(r.stats.iterations);
             }
-            cells.push((spec.name(), r.stats.converged, r.stats.iterations));
+            cells.push((format, r.stats.converged, r.stats.iterations));
         }
         let base = f64_iters.expect("float64 always runs") as f64;
         let mut row = vec![name.to_string()];
@@ -47,7 +46,7 @@ fn main() {
             row.push(format!("{rel:.2}"));
             csv.push(vec![
                 name.to_string(),
-                fmt,
+                fmt.to_string(),
                 format!("{rel}"),
                 iters.to_string(),
                 converged.to_string(),

@@ -15,10 +15,10 @@
 //! below float32's, and excluding PR02R the two averages match
 //! (paper: 1.16 vs 1.09, 1.16 excluding PR02R).
 
-use bench::formats::standard_formats;
 use bench::model::h100_time;
 use bench::report::{mean_std, print_table, write_csv};
-use bench::runner::{default_opts, prepare, solve_problem, Cli};
+use bench::runner::{default_opts, prepare, solve_problem, Cli, PAPER_FORMATS};
+use krylov::Identity;
 
 fn main() {
     let mut cli = Cli::parse();
@@ -37,24 +37,23 @@ fn main() {
         let n = p.matrix.rows();
 
         // Reference: float64.
-        let f64_spec = standard_formats().remove(0);
         let mut f64_wall = Vec::new();
         let mut f64_h100 = 0.0;
         for _ in 0..cli.runs {
-            let r = solve_problem(&p, &opts, &f64_spec);
+            let r = solve_problem(&p, &opts, "float64", &Identity);
             f64_wall.push(r.stats.wall_time.as_secs_f64());
-            f64_h100 = h100_time(&f64_spec, &r.stats, n, spmv_bytes);
+            f64_h100 = h100_time("float64", &r.stats, n, spmv_bytes);
         }
         let (f64_mean, _) = mean_std(&f64_wall);
 
-        for spec in standard_formats().into_iter().skip(1) {
+        for format in &PAPER_FORMATS[1..] {
             let mut walls = Vec::new();
             let mut h100 = 0.0;
             let mut converged = true;
             for _ in 0..cli.runs {
-                let r = solve_problem(&p, &opts, &spec);
+                let r = solve_problem(&p, &opts, format, &Identity);
                 walls.push(r.stats.wall_time.as_secs_f64());
-                h100 = h100_time(&spec, &r.stats, n, spmv_bytes);
+                h100 = h100_time(format, &r.stats, n, spmv_bytes);
                 converged &= r.stats.converged;
             }
             let (w_mean, w_std) = mean_std(&walls);
@@ -70,12 +69,11 @@ fn main() {
                 (0.0, 0.0, 0.0)
             };
             eprintln!(
-                "  {name} {}: modeled-H100 speedup {h100_speedup:.2}, wall {wall_speedup:.2}",
-                spec.name()
+                "  {name} {format}: modeled-H100 speedup {h100_speedup:.2}, wall {wall_speedup:.2}"
             );
             rows.push(vec![
                 name.to_string(),
-                spec.name(),
+                format.to_string(),
                 if converged {
                     format!("{h100_speedup:.2}")
                 } else {
@@ -89,14 +87,14 @@ fn main() {
             ]);
             csv.push(vec![
                 name.to_string(),
-                spec.name(),
+                format.to_string(),
                 format!("{h100_speedup}"),
                 format!("{wall_speedup}"),
                 format!("{wall_err}"),
                 converged.to_string(),
             ]);
             if converged {
-                h100_speedups.push((spec.name(), name.to_string(), h100_speedup));
+                h100_speedups.push((format.to_string(), name.to_string(), h100_speedup));
             }
         }
     }

@@ -9,7 +9,6 @@
 //! kernels, with the decompression instruction cost per value *measured*
 //! from the simulated kernel of `gpusim::kernels`.
 
-use crate::formats::FormatSpec;
 use gpusim::kernels::{stream_base_counters, StreamFormat};
 use gpusim::H100_PCIE;
 use krylov::SolveStats;
@@ -36,41 +35,43 @@ fn measure(fmt: StreamFormat) -> FormatCost {
     }
 }
 
-fn cost_for(spec: &FormatSpec) -> FormatCost {
+/// Decompression cost of the named format, cached per name.
+fn cost_for(format: &str) -> FormatCost {
     static CACHE: OnceLock<Mutex<HashMap<String, FormatCost>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = spec.name();
-    if let Some(c) = cache.lock().unwrap().get(&key) {
+    if let Some(c) = cache.lock().unwrap().get(format) {
         return *c;
     }
-    let fmt = match spec {
-        FormatSpec::F64 => StreamFormat::AccF64,
-        FormatSpec::F32 => StreamFormat::AccF32,
-        FormatSpec::F16 | FormatSpec::BF16 => StreamFormat::AccF16,
-        FormatSpec::Frsz2 { bits, .. } => StreamFormat::Frsz2(*bits),
-        // Round-trip codecs are quality-only in the paper (§V-D); model
-        // their traffic as f64 (they are never timed in Fig. 11).
-        FormatSpec::Lossy(_) => StreamFormat::AccF64,
+    let fmt = match format {
+        "float64" => StreamFormat::AccF64,
+        "float32" => StreamFormat::AccF32,
+        "float16" | "bfloat16" => StreamFormat::AccF16,
         // An adaptive solve mixes ladder formats across cycles (and the
         // per-block store mixes them across blocks); the byte counters
         // already carry the real traffic, so only the per-value decode
         // cost needs a representative — frsz2_32, the rung/length where
         // these solves spend most decompression work.
-        FormatSpec::Adaptive | FormatSpec::AdaptiveBidir | FormatSpec::Frsz2Adaptive => {
-            StreamFormat::Frsz2(32)
-        }
+        "adaptive" | "adaptive_bidir" | "frsz2_ab" => StreamFormat::Frsz2(32),
+        _ => match format.strip_prefix("frsz2_").and_then(|l| l.parse().ok()) {
+            Some(bits) => StreamFormat::Frsz2(bits),
+            // Round-trip codecs are quality-only in the paper (§V-D);
+            // model their traffic as f64 (they are never timed in
+            // Fig. 11).
+            None => StreamFormat::AccF64,
+        },
     };
     let c = measure(fmt);
-    cache.lock().unwrap().insert(key, c);
+    cache.lock().unwrap().insert(format.to_string(), c);
     c
 }
 
 /// Projected H100 execution time in seconds for one solve.
 ///
-/// `n` is the problem dimension, `spmv_bytes` the per-SpMV traffic of
-/// the operator (values + indices + vectors).
-pub fn h100_time(spec: &FormatSpec, stats: &SolveStats, n: usize, spmv_bytes: usize) -> f64 {
-    let c = cost_for(spec);
+/// `format` is the `--format` name the solve ran with, `n` the problem
+/// dimension, `spmv_bytes` the per-SpMV traffic of the operator
+/// (values + indices + vectors).
+pub fn h100_time(format: &str, stats: &SolveStats, n: usize, spmv_bytes: usize) -> f64 {
+    let c = cost_for(format);
     // Memory traffic: compressed basis + SpMV sweeps + the ~6 auxiliary
     // f64 n-vector passes per iteration (w/z/v reads and writes, dots).
     let basis_bytes = (stats.basis_bytes_read + stats.basis_bytes_written) as f64;
@@ -104,20 +105,14 @@ mod tests {
         // Same iteration count, traffic proportional to storage width.
         let iters = 300;
         let cols = 50u64; // average columns streamed per iteration
-        let t = |spec: &FormatSpec, bits: u64| {
+        let t = |format: &str, bits: u64| {
             let per_col = n as u64 * bits / 8;
             let stats = fake_stats(iters, iters as u64 * cols * per_col, iters as u64 * per_col);
-            h100_time(spec, &stats, n, spmv_bytes)
+            h100_time(format, &stats, n, spmv_bytes)
         };
-        let f64t = t(&FormatSpec::F64, 64);
-        let f32t = t(&FormatSpec::F32, 32);
-        let z32t = t(
-            &FormatSpec::Frsz2 {
-                block_size: 32,
-                bits: 32,
-            },
-            33,
-        );
+        let f64t = t("float64", 64);
+        let f32t = t("float32", 32);
+        let z32t = t("frsz2_32", 33);
         assert!(f32t < f64t, "float32 must beat float64");
         assert!(z32t < f64t, "frsz2_32 must beat float64");
         // frsz2_32 within a few percent of float32 (33 vs 32 bits).
@@ -138,16 +133,8 @@ mod tests {
             let per_col = n as u64 * bits / 8;
             fake_stats(iters, iters as u64 * cols * per_col, iters as u64 * per_col)
         };
-        let f64t = h100_time(&FormatSpec::F64, &mk(400, 64), n, spmv_bytes);
-        let z32t = h100_time(
-            &FormatSpec::Frsz2 {
-                block_size: 32,
-                bits: 32,
-            },
-            &mk(1400, 33),
-            n,
-            spmv_bytes,
-        );
+        let f64t = h100_time("float64", &mk(400, 64), n, spmv_bytes);
+        let z32t = h100_time("frsz2_32", &mk(1400, 33), n, spmv_bytes);
         assert!(z32t > f64t, "3.5x iterations must overwhelm 2x compression");
     }
 }

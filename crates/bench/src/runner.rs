@@ -1,10 +1,22 @@
 //! Shared experiment plumbing: CLI options, problem setup, solve loops.
+//!
+//! Storage formats are resolved by name through the solver's own
+//! registry, [`krylov::basis_format::by_name`] (the paper's names:
+//! `float64`, `float32`, `float16`, `frsz2_32`, any `frsz2_<l>`,
+//! `frsz2_ab`, every Table II codec), plus `adaptive` and
+//! `adaptive_bidir` for the escalating driver.
 
-use crate::formats::{self, FormatSpec, Precond};
-use krylov::{GmresOptions, SolveResult};
+use krylov::basis_format::{by_name, gmres_dyn};
+use krylov::{
+    adaptive_gmres, AdaptiveOptions, BlockJacobi, GmresOptions, Identity, Jacobi, Preconditioner,
+    SolveResult,
+};
 use spla::dense::manufactured_rhs;
 use spla::suite::{self, SuiteMatrix};
 use spla::Csr;
+
+/// The four storage formats of the paper's Figs. 7, 8 and 11.
+pub const PAPER_FORMATS: [&str; 4] = ["float64", "float32", "float16", "frsz2_32"];
 
 /// Common command-line options of the experiment binaries.
 ///
@@ -92,9 +104,53 @@ impl Cli {
 
     /// Build the `--precond` preconditioner for `matrix` (identity
     /// when the flag is absent).
-    pub fn build_precond(&self, matrix: &Csr) -> Precond {
+    pub fn build_precond(&self, matrix: &Csr) -> Box<dyn Preconditioner> {
         let name = self.precond.as_deref().unwrap_or("none");
-        Precond::parse(name, matrix).unwrap_or_else(|| panic!("unknown preconditioner {name}"))
+        precond_by_name(name, matrix).unwrap_or_else(|| panic!("unknown preconditioner {name}"))
+    }
+}
+
+/// Build the named right preconditioner from the operator: `none`
+/// (also `identity`; the paper's §V-C setup), `jacobi` (point Jacobi),
+/// `block_jacobi` (dense 4×4 diagonal blocks). Degenerate rows and
+/// blocks degrade gracefully through the infallible constructors.
+/// Returns `None` for unknown names.
+pub fn precond_by_name(name: &str, a: &Csr) -> Option<Box<dyn Preconditioner>> {
+    match name {
+        "none" | "identity" => Some(Box::new(Identity)),
+        "jacobi" => Some(Box::new(Jacobi::new(a))),
+        "block_jacobi" => Some(Box::new(BlockJacobi::new(a, 4))),
+        _ => None,
+    }
+}
+
+/// Solve `A x = b` from `x0` under `precond` with the named basis
+/// format: a registered format through [`gmres_dyn`], or `adaptive` /
+/// `adaptive_bidir`, the escalating driver without / with single-cycle
+/// de-escalation. Returns `None` for unknown names.
+pub fn solve_named(
+    a: &Csr,
+    b: &[f64],
+    x0: &[f64],
+    opts: &GmresOptions,
+    format: &str,
+    precond: &impl Preconditioner,
+) -> Option<SolveResult> {
+    let adaptive = |bidirectional: bool| {
+        let mut aopts = AdaptiveOptions {
+            gmres: opts.clone(),
+            ..AdaptiveOptions::default()
+        };
+        if bidirectional {
+            aopts.de_escalate = true;
+            aopts.de_escalation_cycles = 1;
+        }
+        adaptive_gmres(a, b, x0, &aopts, precond)
+    };
+    match format {
+        "adaptive" => Some(adaptive(false)),
+        "adaptive_bidir" => Some(adaptive(true)),
+        _ => by_name(format).map(|f| gmres_dyn(a, b, x0, opts, precond, f.as_ref())),
     }
 }
 
@@ -149,47 +205,33 @@ pub fn default_opts(p: &Problem, cli: &Cli) -> GmresOptions {
     }
 }
 
-/// Solve `p` with the given format.
-pub fn solve_problem(p: &Problem, opts: &GmresOptions, spec: &FormatSpec) -> SolveResult {
-    let x0 = vec![0.0; p.matrix.rows()];
-    formats::solve(&p.matrix, &p.b, &x0, opts, spec)
-}
-
-/// [`solve_problem`] under an explicit right preconditioner.
-pub fn solve_problem_precond(
+/// Solve `p` from zero with the named format (see [`solve_named`]);
+/// panics on an unknown name.
+pub fn solve_problem(
     p: &Problem,
     opts: &GmresOptions,
-    spec: &FormatSpec,
-    precond: &Precond,
+    format: &str,
+    precond: &impl Preconditioner,
 ) -> SolveResult {
     let x0 = vec![0.0; p.matrix.rows()];
-    formats::solve_precond(&p.matrix, &p.b, &x0, opts, spec, precond)
+    solve_named(&p.matrix, &p.b, &x0, opts, format, precond)
+        .unwrap_or_else(|| panic!("unknown format {format}"))
 }
 
 /// Run `p` once per named format and collect the results (convergence
-/// figures 5/6/9).
+/// figures 5/6/9). Every format runs against the *same* `M⁻¹`, so the
+/// series differ only in basis storage — the equal-traffic comparison
+/// `--precond` asks for.
 pub fn convergence_histories(
     p: &Problem,
     opts: &GmresOptions,
     format_names: &[&str],
-) -> Vec<(String, SolveResult)> {
-    convergence_histories_precond(p, opts, format_names, &Precond::None(krylov::Identity))
-}
-
-/// [`convergence_histories`] with a shared preconditioner: every
-/// format runs against the *same* `M⁻¹`, so the series differ only in
-/// basis storage — the equal-traffic comparison `--precond` asks for.
-pub fn convergence_histories_precond(
-    p: &Problem,
-    opts: &GmresOptions,
-    format_names: &[&str],
-    precond: &Precond,
+    precond: &impl Preconditioner,
 ) -> Vec<(String, SolveResult)> {
     format_names
         .iter()
         .map(|name| {
-            let spec = formats::parse(name).unwrap_or_else(|| panic!("unknown format {name}"));
-            let r = solve_problem_precond(p, opts, &spec, precond);
+            let r = solve_problem(p, opts, name, precond);
             eprintln!(
                 "  {name}: iters={} converged={} final_rrn={:.2e} bits/value={:.1}",
                 r.stats.iterations,
@@ -292,10 +334,175 @@ mod tests {
             max_iters: 300,
             ..GmresOptions::default()
         };
-        let spec = crate::formats::parse("frsz2_32").unwrap();
-        let r = solve_problem(&p, &opts, &spec);
+        let r = solve_problem(&p, &opts, "frsz2_32", &Identity);
         assert!(r.history.is_empty());
         report_histories("test_empty_history", &[("frsz2_32".into(), r)]);
         let _ = std::fs::remove_file("results/test_empty_history.csv");
+    }
+
+    fn small_problem(a: Csr) -> (Csr, Vec<f64>, Vec<f64>) {
+        let (_, b) = manufactured_rhs(&a);
+        let x0 = vec![0.0; a.rows()];
+        (a, b, x0)
+    }
+
+    /// `--format` accepts every registered name and alias plus the two
+    /// adaptive drivers, and nothing else.
+    #[test]
+    fn format_names_resolve_through_the_registry() {
+        let (a, b, x0) = small_problem(spla::gen::conv_diff_3d(3, 3, 3, [0.2, 0.1, 0.0], 0.4));
+        let opts = GmresOptions {
+            target_rrn: 1e-4,
+            max_iters: 40,
+            restart: 10,
+            ..GmresOptions::default()
+        };
+        let mut accepted: Vec<String> = krylov::basis_format::names();
+        accepted.extend(
+            [
+                "f64", "f32", "f16", "bf16", "frsz2_2", "frsz2_64", "frsz2_27",
+            ]
+            .map(String::from),
+        );
+        for name in &accepted {
+            let r = solve_named(&a, &b, &x0, &opts, name, &Identity)
+                .unwrap_or_else(|| panic!("{name} rejected"));
+            let store = by_name(name).unwrap().create(a.rows(), 2);
+            assert_eq!(r.stats.format, store.format_name(), "{name}");
+        }
+        for name in ["adaptive", "adaptive_bidir"] {
+            let r = solve_named(&a, &b, &x0, &opts, name, &Identity).unwrap();
+            assert_eq!(r.stats.format_trajectory[0], "frsz2_16", "{name}");
+        }
+        for name in [
+            "frsz2_1", "frsz2_65", "frsz2_99", "frsz2_x", "whatever", "sz3_09", "",
+        ] {
+            assert!(
+                solve_named(&a, &b, &x0, &opts, name, &Identity).is_none(),
+                "{name} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn precond_by_name_builds_and_forwards() {
+        let a = spla::gen::conv_diff_3d(4, 4, 4, [0.1, 0.0, 0.0], 0.5);
+        for (name, reported, identity) in [
+            ("none", "none", true),
+            ("identity", "none", true),
+            ("jacobi", "jacobi", false),
+            ("block_jacobi", "block-jacobi", false),
+        ] {
+            let p = precond_by_name(name, &a).unwrap();
+            assert_eq!(p.name(), reported);
+            assert_eq!(p.is_identity(), identity, "{name}");
+            let v = vec![1.0; a.rows()];
+            let mut out = vec![0.0; a.rows()];
+            p.apply(&v, &mut out);
+            assert!(out.iter().all(|x| x.is_finite()));
+        }
+        assert!(precond_by_name("ilu", &a).is_none());
+    }
+
+    /// The preconditioned path must reach the target in no more
+    /// iterations than the identity path on a diagonally-skewed
+    /// operator, at the same basis storage rate.
+    #[test]
+    fn preconditioned_solve_converges_faster() {
+        let mut a = spla::gen::conv_diff_3d(6, 6, 6, [0.3, 0.1, 0.0], 0.3);
+        let phi: Vec<i32> = (0..a.rows()).map(|i| (i % 7) as i32 - 3).collect();
+        spla::gen::apply_similarity_scaling(&mut a, &phi);
+        let (a, b, x0) = small_problem(a);
+        let opts = GmresOptions {
+            target_rrn: 1e-8,
+            max_iters: 800,
+            restart: 40,
+            ..GmresOptions::default()
+        };
+        let plain = solve_named(&a, &b, &x0, &opts, "frsz2_32", &Identity).unwrap();
+        let jac = precond_by_name("jacobi", &a).unwrap();
+        let pre = solve_named(&a, &b, &x0, &opts, "frsz2_32", &jac).unwrap();
+        assert!(pre.stats.converged, "rrn {}", pre.stats.final_rrn);
+        assert!(
+            pre.stats.iterations <= plain.stats.iterations,
+            "jacobi {} > identity {}",
+            pre.stats.iterations,
+            plain.stats.iterations
+        );
+        assert_eq!(
+            pre.stats.basis_bits_per_value, plain.stats.basis_bits_per_value,
+            "preconditioning must not change basis traffic"
+        );
+    }
+
+    /// A name resolved through the registry solves bit for bit like
+    /// the statically typed store.
+    #[test]
+    fn solve_by_name_matches_direct_call() {
+        let (a, b, x0) = small_problem(spla::gen::conv_diff_3d(6, 6, 6, [0.3, 0.1, 0.0], 0.3));
+        let opts = GmresOptions {
+            target_rrn: 1e-8,
+            max_iters: 500,
+            record_history: true,
+            ..GmresOptions::default()
+        };
+        let by_name = solve_named(&a, &b, &x0, &opts, "frsz2_32", &Identity).unwrap();
+        let direct = krylov::gmres::<frsz2::Frsz2Store, _, _>(&a, &b, &x0, &opts, &Identity);
+        assert_eq!(by_name.stats.iterations, direct.stats.iterations);
+        assert_eq!(by_name.history, direct.history);
+        assert_eq!(by_name.stats.format, "frsz2_32");
+    }
+
+    #[test]
+    fn frsz2_ab_solves_with_per_block_rate() {
+        let (a, b, x0) = small_problem(spla::gen::wide_range_conv_diff_runs(
+            8, 8, 8, 24, 16, 0x5202,
+        ));
+        let opts = GmresOptions {
+            target_rrn: 1e-10,
+            max_iters: 1200,
+            restart: 30,
+            ..GmresOptions::default()
+        };
+        let r = solve_named(&a, &b, &x0, &opts, "frsz2_ab", &Identity).unwrap();
+        assert!(r.stats.converged, "rrn {}", r.stats.final_rrn);
+        assert_eq!(r.stats.format, "frsz2_ab");
+        assert!(
+            r.stats.basis_bits_per_value < 22.0,
+            "rate {}",
+            r.stats.basis_bits_per_value
+        );
+    }
+
+    #[test]
+    fn adaptive_solves_and_reports_trajectory() {
+        let (a, b, x0) = small_problem(spla::gen::conv_diff_3d(6, 6, 6, [0.3, 0.1, 0.0], 0.3));
+        let opts = GmresOptions {
+            target_rrn: 1e-8,
+            max_iters: 800,
+            restart: 40,
+            ..GmresOptions::default()
+        };
+        let r = solve_named(&a, &b, &x0, &opts, "adaptive", &Identity).unwrap();
+        assert!(r.stats.converged, "rrn {}", r.stats.final_rrn);
+        assert!(r.stats.final_rrn <= 1e-8);
+        assert_eq!(r.stats.format_trajectory.len(), r.stats.restarts);
+        assert_eq!(r.stats.format_trajectory[0], "frsz2_16");
+    }
+
+    #[test]
+    fn lossy_roundtrip_format_converges() {
+        let (a, b, x0) = small_problem(spla::gen::conv_diff_3d(6, 6, 6, [0.2, 0.1, 0.0], 0.4));
+        let opts = GmresOptions {
+            target_rrn: 1e-6,
+            max_iters: 500,
+            ..GmresOptions::default()
+        };
+        let r = solve_named(&a, &b, &x0, &opts, "zfp_fr_32", &Identity).unwrap();
+        assert!(
+            r.stats.converged,
+            "zfp_fr_32 should converge, rrn {}",
+            r.stats.final_rrn
+        );
     }
 }

@@ -11,6 +11,8 @@
 //! the stored codes must decode exactly as `reference::compress_block`
 //! at that length would.
 
+mod common;
+
 use frsz2::adaptive_store::{DEFAULT_GUARD_BITS, PALETTE};
 use frsz2::{reference, Frsz2AdaptiveStore};
 use numfmt::ColumnStorage;
@@ -171,6 +173,19 @@ fn gemv_skip_preserves_negative_zero() {
     st.gemv_chunk(2, 0, &[0.0, 0.0], &mut w);
     for (i, v) in w.iter().enumerate() {
         assert_eq!(v.to_bits(), (-0.0f64).to_bits(), "row {i}");
+    }
+}
+
+#[test]
+fn many_vector_kernels_bit_equal_trait_defaults() {
+    let rows = 203;
+    for spread in SPREADS {
+        let st = store_with(spread, rows, 5);
+        common::many_kernels_match_trait_defaults(
+            &st,
+            &chunk_shapes(rows),
+            &format!("spread={spread}"),
+        );
     }
 }
 

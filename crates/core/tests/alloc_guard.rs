@@ -1,6 +1,7 @@
 //! Zero-allocation guard for the fused store kernels (its own test
-//! binary: the counting allocator is process-global, so no other test
-//! may run concurrently in the same process).
+//! binary, since the allocator is process-global). Allocations are
+//! counted per thread: the kernels under test run on the test's own
+//! thread, and the test harness's threads allocate concurrently.
 //!
 //! Satellite of the tile-allocation bugfix: the old unaligned-`l`
 //! `dot_chunk`/`axpy_chunk` arms allocated a decode tile on **every**
@@ -12,15 +13,26 @@
 use frsz2::{Frsz2Config, Frsz2Store};
 use numfmt::ColumnStorage;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by the current thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -63,7 +75,7 @@ fn fused_kernels_never_allocate() {
         let alphas = [0.5, 0.0, -2.0, 0.25];
         // Warmup, then measure.
         let _ = st.dot_chunk(0, 0, &w);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let mut sink = 0.0;
         for _ in 0..10 {
             sink += st.dot_chunk(1, 32, &w[..rows - 32]);
@@ -71,7 +83,7 @@ fn fused_kernels_never_allocate() {
             st.dots_chunk(k, 0, &w, &mut out);
             st.gemv_chunk(k, 0, &alphas, &mut wv);
         }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         assert_eq!(
             after - before,
             0,
@@ -84,11 +96,11 @@ fn fused_kernels_never_allocate() {
         // heap allocation either (the rolling-register pack stages in
         // a fixed stack buffer). Same test body — a second #[test]
         // would race this one for the process-global counter.
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         for _ in 0..10 {
             st.write_column(0, &w);
         }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         assert_eq!(after - before, 0, "l={l}: write_column allocated");
     }
 }

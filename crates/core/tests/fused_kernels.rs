@@ -8,6 +8,8 @@
 //! level) reduce to exactly this property: fusion changes how codes
 //! are extracted, never what is computed.
 
+mod common;
+
 use frsz2::{Frsz2Config, Frsz2Store};
 use numfmt::ColumnStorage;
 /// The paper's evaluated lengths plus word-aligned and wide extremes;
@@ -158,5 +160,14 @@ fn gemv_skip_preserves_negative_zero() {
     st.gemv_chunk(2, 0, &[0.0, 0.0], &mut w);
     for (i, v) in w.iter().enumerate() {
         assert_eq!(v.to_bits(), (-0.0f64).to_bits(), "row {i}");
+    }
+}
+
+#[test]
+fn many_vector_kernels_bit_equal_trait_defaults() {
+    let rows = 203;
+    for l in [4, 8, 12, 16, 21, 27, 32, 40, 54, 64] {
+        let st = store_with(l, rows, 5);
+        common::many_kernels_match_trait_defaults(&st, &chunk_shapes(rows), &format!("l={l}"));
     }
 }

@@ -21,6 +21,13 @@
 //! prefix + new suffix, all through LEB128 varints. A trailing FNV-1a
 //! checksum turns torn or corrupted blobs into typed
 //! [`CheckpointError`]s instead of silent garbage.
+//!
+//! The checksum detects accidents (torn writes, bit rot), not forgery:
+//! anyone can re-seal a modified blob. [`SolveCheckpoint::decode`] is
+//! therefore total on its own — every length field is bounded by the
+//! bytes that remain before anything is allocated for it, so a forged
+//! blob decodes to a typed error (or to a well-formed checkpoint),
+//! never to a panic or an unbounded allocation.
 
 use crate::gmres::HistoryPoint;
 
@@ -241,7 +248,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(CheckpointError::Truncated);
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -268,6 +275,17 @@ impl<'a> Cursor<'a> {
     fn len(&mut self) -> Result<usize, CheckpointError> {
         let v = self.varint()?;
         usize::try_from(v).map_err(|_| CheckpointError::Malformed("length exceeds usize"))
+    }
+
+    /// The count of a run of items, each encoded in at least
+    /// `min_bytes` bytes: a count the remaining bytes cannot hold is a
+    /// truncation, caught before anything is allocated for it.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = self.len()?;
+        if n > (self.bytes.len() - self.pos) / min_bytes {
+            return Err(CheckpointError::Truncated);
+        }
+        Ok(n)
     }
 
     fn f64(&mut self) -> Result<f64, CheckpointError> {
@@ -365,7 +383,8 @@ impl SolveCheckpoint {
     /// Decode a blob produced by [`SolveCheckpoint::encode`].
     ///
     /// A delta-encoded blob needs the same `prev` it was encoded
-    /// against; a full blob ignores `prev`.
+    /// against; a full blob ignores `prev`. Total on any input: damaged
+    /// or forged bytes give a typed [`CheckpointError`], never a panic.
     pub fn decode(
         bytes: &[u8],
         prev: Option<&SolveCheckpoint>,
@@ -406,7 +425,7 @@ impl SolveCheckpoint {
         for c in counters.iter_mut() {
             *c = cur.varint()?;
         }
-        let n = cur.len()?;
+        let n = cur.count(1)?;
         if let Some(p) = prev {
             if p.x.len() != n {
                 return Err(CheckpointError::MissingPrevious);
@@ -420,7 +439,7 @@ impl SolveCheckpoint {
         let suffix_strings =
             |cur: &mut Cursor, prev: Option<&[String]>| -> Result<Vec<String>, CheckpointError> {
                 let shared = cur.len()?;
-                let fresh = cur.len()?;
+                let fresh = cur.count(1)?;
                 let base = prev.unwrap_or(&[]);
                 if shared > base.len() {
                     return Err(CheckpointError::Malformed("shared prefix beyond previous"));
@@ -435,7 +454,8 @@ impl SolveCheckpoint {
         let format_trajectory =
             suffix_strings(&mut cur, prev.map(|p| p.format_trajectory.as_slice()))?;
         let shared_h = cur.len()?;
-        let fresh_h = cur.len()?;
+        // Varint iteration (≥ 1 byte) + f64 rrn + explicit flag.
+        let fresh_h = cur.count(10)?;
         let base_h = prev.map_or(&[][..], |p| p.history.as_slice());
         if shared_h > base_h.len() {
             return Err(CheckpointError::Malformed("shared prefix beyond previous"));
@@ -456,7 +476,7 @@ impl SolveCheckpoint {
             });
         }
         let shared_s = cur.len()?;
-        let fresh_s = cur.len()?;
+        let fresh_s = cur.count(1)?;
         let base_s = prev.map_or(&[][..], |p| p.s_per_cycle.as_slice());
         if shared_s > base_s.len() {
             return Err(CheckpointError::Malformed("shared prefix beyond previous"));
@@ -466,7 +486,7 @@ impl SolveCheckpoint {
             s_per_cycle.push(cur.len()?);
         }
         let shared_l = cur.len()?;
-        let fresh_l = cur.len()?;
+        let fresh_l = cur.count(8)?;
         let base_l = prev.map_or(&[][..], |p| p.loo_per_cycle.as_slice());
         if shared_l > base_l.len() {
             return Err(CheckpointError::Malformed("shared prefix beyond previous"));
@@ -634,5 +654,113 @@ mod tests {
         // Encoder ignored the mismatched prev, so decode without one.
         let back = SolveCheckpoint::decode(&blob, None).unwrap();
         assert_eq!(cp, back);
+    }
+
+    /// Re-seal `payload` with a valid checksum, the way a forger (or a
+    /// future writer) would.
+    fn sealed(mut payload: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&payload);
+        payload.extend_from_slice(&sum.to_le_bytes());
+        payload
+    }
+
+    /// Magic, version, scalar driver, full encoding.
+    fn header() -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        out.extend_from_slice(&[DriverKind::Scalar.to_u8(), 0]);
+        out
+    }
+
+    #[test]
+    fn checkpoint_forged_string_length_is_a_typed_error() {
+        let mut payload = header();
+        put_varint(&mut payload, u64::MAX);
+        let blob = sealed(payload);
+        assert_eq!(blob.len(), 26);
+        assert_eq!(
+            SolveCheckpoint::decode(&blob, None),
+            Err(CheckpointError::Truncated)
+        );
+    }
+
+    #[test]
+    fn checkpoint_forged_vector_length_is_a_typed_error() {
+        let mut payload = header();
+        put_str(&mut payload, "");
+        put_f64(&mut payload, 0.0);
+        for _ in 0..14 {
+            put_varint(&mut payload, 0);
+        }
+        put_varint(&mut payload, 1 << 61);
+        let blob = sealed(payload);
+        assert_eq!(blob.len(), 48);
+        assert_eq!(
+            SolveCheckpoint::decode(&blob, None),
+            Err(CheckpointError::Truncated)
+        );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Truncations, bit flips, and re-sealed overwrites or forged
+        /// varint insertions of full and delta blobs all decode to `Ok`
+        /// or a typed error — never a panic or a runaway allocation.
+        /// Short iterates keep the length fields a large share of the
+        /// blob, so forged lengths often land on one.
+        #[test]
+        fn checkpoint_decode_is_total_under_mutation(
+            restarts in 0usize..4,
+            xs in 1usize..6,
+            delta in 0u8..2,
+            mode in 0u8..4,
+            pos in 0usize..4096,
+            byte in 0u8..=255,
+        ) {
+            let mut prev = sample(restarts);
+            prev.x.truncate(xs);
+            let mut cp = sample(restarts + 1);
+            cp.x.truncate(xs);
+            cp.x[0] += 1e-7;
+            let prev = (delta == 1).then_some(&prev);
+            let blob = cp.encode(prev);
+            let at = pos % blob.len();
+            let mutated = match mode {
+                0 => blob[..at].to_vec(),
+                1 => {
+                    let mut b = blob.clone();
+                    b[at] ^= 1 << (byte % 8);
+                    b
+                }
+                2 => {
+                    let mut payload = blob[..blob.len() - 8].to_vec();
+                    let at = pos % payload.len();
+                    payload[at] = byte;
+                    sealed(payload)
+                }
+                _ => {
+                    // A forged varint far beyond the blob, inserted
+                    // anywhere after the fixed header.
+                    let forged = match byte % 3 {
+                        0 => u64::MAX,
+                        1 => 1 << 61,
+                        _ => u64::MAX >> (pos % 64),
+                    };
+                    let mut payload = blob[..blob.len() - 8].to_vec();
+                    let at = 8 + pos % (payload.len() - 8);
+                    let mut varint = Vec::new();
+                    put_varint(&mut varint, forged);
+                    payload.splice(at..at, varint);
+                    sealed(payload)
+                }
+            };
+            match SolveCheckpoint::decode(&mutated, prev) {
+                Ok(back) => prop_assert!(back.x.len() <= mutated.len()),
+                Err(e) => prop_assert!(!e.to_string().is_empty()),
+            }
+        }
     }
 }

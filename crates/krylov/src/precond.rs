@@ -83,6 +83,26 @@ impl Preconditioner for Identity {
     }
 }
 
+/// A boxed preconditioner is itself a preconditioner: every method,
+/// `is_identity` included, forwards to the contained object. This is
+/// what lets a preconditioner be chosen at run time (by name or by a
+/// registration spec) and handed to the generic solve drivers, which
+/// then still route `M = I` through the fused matrix-powers kernel.
+impl Preconditioner for Box<dyn Preconditioner> {
+    #[inline]
+    fn apply(&self, v: &[f64], out: &mut [f64]) {
+        (**self).apply(v, out);
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn is_identity(&self) -> bool {
+        (**self).is_identity()
+    }
+}
+
 /// Point-Jacobi: `M = diag(A)`.
 #[derive(Clone, Debug)]
 pub struct Jacobi {
@@ -308,6 +328,27 @@ impl Preconditioner for BlockJacobi {
 mod tests {
     use super::*;
     use spla::{Coo, Ell, SellCSigma};
+
+    #[test]
+    fn boxed_preconditioners_forward_every_method() {
+        let a = spla::gen::conv_diff_3d(3, 3, 3, [0.1, 0.0, 0.0], 0.5);
+        let v: Vec<f64> = (0..a.rows()).map(|i| i as f64 - 4.5).collect();
+        let boxed: [(Box<dyn Preconditioner>, &dyn Preconditioner); 3] = [
+            (Box::new(Identity), &Identity),
+            (Box::new(Jacobi::new(&a)), &Jacobi::new(&a)),
+            (Box::new(BlockJacobi::new(&a, 4)), &BlockJacobi::new(&a, 4)),
+        ];
+        for (b, direct) in &boxed {
+            assert_eq!(b.name(), direct.name());
+            assert_eq!(b.is_identity(), direct.is_identity());
+            let (mut via_box, mut via_direct) = (vec![0.0; v.len()], vec![0.0; v.len()]);
+            b.apply(&v, &mut via_box);
+            direct.apply(&v, &mut via_direct);
+            assert_eq!(via_box, via_direct, "{}", direct.name());
+        }
+        assert!(boxed[0].0.is_identity());
+        assert!(!boxed[1].0.is_identity());
+    }
 
     #[test]
     fn identity_copies() {

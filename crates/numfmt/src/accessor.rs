@@ -392,6 +392,23 @@ impl ColumnStorage for Box<dyn ColumnStorage> {
         (**self).gemv_chunk(k, row_start, alphas, w)
     }
 
+    #[inline]
+    fn dots_many_chunk(&self, k: usize, row_start: usize, ws: &[f64], nw: usize, out: &mut [f64]) {
+        (**self).dots_many_chunk(k, row_start, ws, nw, out)
+    }
+
+    #[inline]
+    fn gemv_many_chunk(
+        &self,
+        k: usize,
+        row_start: usize,
+        alphas: &[f64],
+        nw: usize,
+        ws: &mut [f64],
+    ) {
+        (**self).gemv_many_chunk(k, row_start, alphas, nw, ws)
+    }
+
     fn column_bytes(&self) -> usize {
         (**self).column_bytes()
     }
@@ -650,5 +667,65 @@ mod tests {
         let st = DenseStore::<f64>::with_shape(0, 3);
         assert_eq!(st.bits_per_value(), 0.0);
         assert!(!st.bits_per_value().is_nan());
+    }
+
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// A float64 store whose many-vector kernels count their calls.
+    struct Probe {
+        inner: DenseStore<f64>,
+        fused_calls: Arc<AtomicUsize>,
+    }
+
+    impl ColumnStorage for Probe {
+        fn with_shape(rows: usize, cols: usize) -> Self {
+            Probe {
+                inner: DenseStore::with_shape(rows, cols),
+                fused_calls: Arc::default(),
+            }
+        }
+        fn rows(&self) -> usize {
+            self.inner.rows()
+        }
+        fn cols(&self) -> usize {
+            self.inner.cols()
+        }
+        fn write_column(&mut self, j: usize, data: &[f64]) {
+            self.inner.write_column(j, data)
+        }
+        fn read_chunk(&self, j: usize, row_start: usize, out: &mut [f64]) {
+            self.inner.read_chunk(j, row_start, out)
+        }
+        fn load(&self, i: usize, j: usize) -> f64 {
+            self.inner.load(i, j)
+        }
+        fn dots_many_chunk(&self, k: usize, r: usize, ws: &[f64], nw: usize, out: &mut [f64]) {
+            self.fused_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.dots_many_chunk(k, r, ws, nw, out)
+        }
+        fn gemv_many_chunk(&self, k: usize, r: usize, al: &[f64], nw: usize, ws: &mut [f64]) {
+            self.fused_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.gemv_many_chunk(k, r, al, nw, ws)
+        }
+        fn column_bytes(&self) -> usize {
+            self.inner.column_bytes()
+        }
+        fn format_name(&self) -> String {
+            "probe".into()
+        }
+    }
+
+    #[test]
+    fn boxed_storage_forwards_the_many_vector_kernels() {
+        let mut st = Probe::with_shape(8, 2);
+        let calls = Arc::clone(&st.fused_calls);
+        st.write_column(0, &ramp(8));
+        let boxed: Box<dyn ColumnStorage> = Box::new(st);
+        let mut out = vec![0.0; 4];
+        boxed.dots_many_chunk(2, 0, &ramp(16), 2, &mut out);
+        let mut ws = ramp(16);
+        boxed.gemv_many_chunk(2, 0, &[1.0, 0.5, 0.0, 2.0], 2, &mut ws);
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 }

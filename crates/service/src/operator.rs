@@ -26,33 +26,6 @@ pub enum PrecondSpec {
     },
 }
 
-/// The factorized preconditioner cached with an operator (one enum so
-/// the hot path dispatches without a heap indirection).
-#[derive(Clone, Debug)]
-pub(crate) enum CachedPrecond {
-    Identity(Identity),
-    Jacobi(Jacobi),
-    Block(BlockJacobi),
-}
-
-impl Preconditioner for CachedPrecond {
-    fn apply(&self, v: &[f64], out: &mut [f64]) {
-        match self {
-            CachedPrecond::Identity(p) => p.apply(v, out),
-            CachedPrecond::Jacobi(p) => p.apply(v, out),
-            CachedPrecond::Block(p) => p.apply(v, out),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            CachedPrecond::Identity(p) => p.name(),
-            CachedPrecond::Jacobi(p) => p.name(),
-            CachedPrecond::Block(p) => p.name(),
-        }
-    }
-}
-
 /// One registered operator: the auto-selected sparse matrix plus every
 /// analysis product jobs reuse.
 pub(crate) struct AnalyzedOperator {
@@ -62,7 +35,10 @@ pub(crate) struct AnalyzedOperator {
     pub(crate) matrix: Box<dyn SparseMatrix>,
     pub(crate) row_stats: RowLengthStats,
     pub(crate) sparse_format: &'static str,
-    pub(crate) precond: CachedPrecond,
+    /// The factorized preconditioner. Boxed so every job reaches it
+    /// through the one forwarding impl in `krylov`, which also forwards
+    /// `is_identity` (the s-step driver's fused matrix-powers route).
+    pub(crate) precond: Box<dyn Preconditioner>,
 }
 
 impl AnalyzedOperator {
@@ -70,21 +46,15 @@ impl AnalyzedOperator {
     /// selection, row statistics, preconditioner factorization.
     pub(crate) fn analyze(name: &str, a: &Csr, precond: PrecondSpec) -> Result<Self, ServiceError> {
         let choice = auto_format(a);
-        let precond = match precond {
-            PrecondSpec::None => CachedPrecond::Identity(Identity),
-            PrecondSpec::Jacobi => CachedPrecond::Jacobi(Jacobi::try_new(a).map_err(|source| {
-                ServiceError::PrecondFailed {
-                    operator: name.to_string(),
-                    source,
-                }
-            })?),
+        let failed = |source| ServiceError::PrecondFailed {
+            operator: name.to_string(),
+            source,
+        };
+        let precond: Box<dyn Preconditioner> = match precond {
+            PrecondSpec::None => Box::new(Identity),
+            PrecondSpec::Jacobi => Box::new(Jacobi::try_new(a).map_err(failed)?),
             PrecondSpec::BlockJacobi { block_size } => {
-                CachedPrecond::Block(BlockJacobi::try_new(a, block_size).map_err(|source| {
-                    ServiceError::PrecondFailed {
-                        operator: name.to_string(),
-                        source,
-                    }
-                })?)
+                Box::new(BlockJacobi::try_new(a, block_size).map_err(failed)?)
             }
         };
         Ok(AnalyzedOperator {
@@ -145,4 +115,26 @@ pub struct OperatorInfo {
     /// solver options (per-job `Auto` selection re-evaluates for the
     /// job's own target).
     pub recommended_basis: String,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unpreconditioned_operator_reports_identity() {
+        let a = spla::gen::conv_diff_3d(4, 4, 4, [0.1, 0.0, 0.0], 0.5);
+        let none = AnalyzedOperator::analyze("none", &a, PrecondSpec::None).unwrap();
+        assert!(
+            none.precond.is_identity(),
+            "s-step jobs on this operator must take the fused matrix-powers kernel"
+        );
+        for spec in [
+            PrecondSpec::Jacobi,
+            PrecondSpec::BlockJacobi { block_size: 4 },
+        ] {
+            let op = AnalyzedOperator::analyze("m", &a, spec).unwrap();
+            assert!(!op.precond.is_identity(), "{spec:?}");
+        }
+    }
 }

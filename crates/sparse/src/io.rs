@@ -8,6 +8,10 @@
 use crate::Coo;
 use std::io::{BufRead, Write};
 
+/// Entries [`read_matrix_market`] reserves before reading any: the
+/// header's count is trusted only this far.
+const MAX_RESERVED_ENTRIES: usize = 1 << 20;
+
 /// Parse a MatrixMarket stream into COO form.
 ///
 /// Symmetric files are expanded (the strictly-lower triangle is
@@ -56,8 +60,26 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> std::io::Result<Coo> {
         return Err(bad("size line must be 'rows cols nnz'"));
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
-
-    let mut coo = Coo::with_capacity(rows, cols, if symmetric { 2 * nnz } else { nnz });
+    if rows > u32::MAX as usize || cols > u32::MAX as usize {
+        return Err(bad(&format!(
+            "{rows}x{cols} exceeds the 32-bit index range"
+        )));
+    }
+    // A header may promise at most one entry per position (when
+    // `rows·cols` overflows, no count can exceed it).
+    if rows.checked_mul(cols).is_some_and(|cells| nnz > cells) {
+        return Err(bad(&format!(
+            "header nnz {nnz} exceeds rows*cols for a {rows}x{cols} matrix"
+        )));
+    }
+    // The header is outside input: reserve at most MAX_RESERVED_ENTRIES
+    // up front and let a genuinely large file grow the buffers.
+    let entries = if symmetric {
+        nnz.saturating_mul(2)
+    } else {
+        nnz
+    };
+    let mut coo = Coo::with_capacity(rows, cols, entries.min(MAX_RESERVED_ENTRIES));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -332,5 +354,36 @@ mod tests {
             write_matrix_market_with(&huge, MmField::Integer, MmSymmetry::General, Vec::new())
                 .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn dimensions_beyond_u32_are_a_typed_error() {
+        let text = "%%MatrixMarket matrix coordinate real general\n4294967296 1 1\n1 1 1.0\n";
+        let err = read_matrix_market(BufReader::new(text.as_bytes())).unwrap_err();
+        assert!(err.to_string().contains("32-bit index range"), "{err}");
+    }
+
+    #[test]
+    fn huge_header_nnz_is_a_typed_error() {
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n3 3 18446744073709551615\n1 1 1.0\n";
+        let err = read_matrix_market(BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds rows*cols"), "{err}");
+    }
+
+    #[test]
+    fn header_counts_are_not_trusted_for_allocation() {
+        // Admissible counts far beyond the file's single entry: the
+        // reader must neither overflow `2 * nnz` nor reserve the
+        // promised entries, and must report the short file.
+        for header in [
+            "%%MatrixMarket matrix coordinate real general\n1000000000 1000000000 100000000000000000\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n4294967295 4294967295 9223372036854775808\n",
+        ] {
+            let text = format!("{header}1 1 1.0\n");
+            let err = read_matrix_market(BufReader::new(text.as_bytes())).unwrap_err();
+            assert!(err.to_string().contains("found 1"), "{err}");
+        }
     }
 }
