@@ -367,9 +367,17 @@ mod tests {
         for name in &accepted {
             let r = solve_named(&a, &b, &x0, &opts, name, &Identity)
                 .unwrap_or_else(|| panic!("{name} rejected"));
-            let store = by_name(name).unwrap().create(a.rows(), 2);
+            let format = by_name(name).unwrap();
+            let store = format.create(a.rows(), 2);
             assert_eq!(r.stats.format, store.format_name(), "{name}");
+            // The recorded name is the registry's (`sz3_06`, never a
+            // codec label such as `sz3_abs_1e-6`), so it resolves again.
+            assert_eq!(r.stats.format, format.name(), "{name}");
+            assert!(by_name(&r.stats.format).is_some(), "{name}");
         }
+        assert!(lossy::registry::names()
+            .iter()
+            .all(|name| accepted.iter().any(|a| a == name)));
         for name in ["adaptive", "adaptive_bidir"] {
             let r = solve_named(&a, &b, &x0, &opts, name, &Identity).unwrap();
             assert_eq!(r.stats.format_trajectory[0], "frsz2_16", "{name}");

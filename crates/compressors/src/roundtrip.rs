@@ -18,18 +18,34 @@ use std::sync::Arc;
 pub struct RoundTripStore {
     inner: DenseStore<f64>,
     codec: Arc<dyn Compressor>,
+    /// What [`ColumnStorage::format_name`] reports.
+    name: String,
     bits_written: u64,
     values_written: u64,
 }
 
 impl RoundTripStore {
+    /// A store over `codec`, reporting the codec's own label (e.g.
+    /// `sz3_abs_1e-6`) as its format name.
     pub fn new(codec: Arc<dyn Compressor>, rows: usize, cols: usize) -> Self {
         RoundTripStore {
             inner: DenseStore::with_shape(rows, cols),
+            name: codec.name(),
             codec,
             bits_written: 0,
             values_written: 0,
         }
+    }
+
+    /// A store over the [`crate::registry`] codec `name` that reports
+    /// `name` itself (e.g. `sz3_06`) as its format name, so the name a
+    /// solve records resolves through the registry again. `None` for
+    /// unknown names.
+    pub fn from_registry(name: &str, rows: usize, cols: usize) -> Option<Self> {
+        Some(RoundTripStore {
+            name: name.to_string(),
+            ..Self::new(crate::registry::by_name(name)?, rows, cols)
+        })
     }
 
     /// Average achieved compression rate over all column writes so far.
@@ -113,7 +129,7 @@ impl ColumnStorage for RoundTripStore {
     }
 
     fn format_name(&self) -> String {
-        self.codec.name()
+        self.name.clone()
     }
 }
 
@@ -153,6 +169,19 @@ mod tests {
         assert!((bpv - 16.0).abs() < 0.5, "fixed-rate 16 reported as {bpv}");
         assert_eq!(st.format_name(), "zfp_fr_16");
         assert_eq!(st.column_bytes(), (bpv * 400.0 / 8.0).ceil() as usize);
+    }
+
+    #[test]
+    fn registry_store_reports_its_registry_name() {
+        for name in crate::registry::names() {
+            let st = RoundTripStore::from_registry(name, 64, 1).unwrap();
+            assert_eq!(st.format_name(), name);
+        }
+        assert_eq!(
+            RoundTripStore::new(Arc::new(Sz3Compressor::new(1e-6)), 64, 1).format_name(),
+            "sz3_abs_1e-6"
+        );
+        assert!(RoundTripStore::from_registry("sz3_09", 64, 1).is_none());
     }
 
     #[test]

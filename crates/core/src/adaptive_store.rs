@@ -24,7 +24,7 @@
 //! order for dots, ascending-`j` column application with zero-alpha
 //! skip for gemv — bit-identical to decode-then-BLAS.
 
-use crate::codec::{decode_code, encode_bits};
+use crate::codec::{decode_value, encode_bits};
 use crate::kernels;
 use crate::reference::ZERO_BLOCK_EXPONENT;
 use numfmt::ColumnStorage;
@@ -225,14 +225,7 @@ impl ColumnStorage for Frsz2AdaptiveStore {
     #[inline]
     fn load(&self, i: usize, j: usize) -> f64 {
         let (l, bw, emax) = self.block_span(j, i / BS);
-        let idx = i % BS;
-        let c = match l {
-            32 => bw[idx] as u64,
-            16 => ((bw[idx / 2] >> (((idx & 1) as u32) * 16)) & 0xFFFF) as u64,
-            64 => bw[2 * idx] as u64 | ((bw[2 * idx + 1] as u64) << 32),
-            l => crate::bitpack::read_bits(bw, idx * l as usize, l),
-        };
-        decode_code(c, emax, l)
+        decode_value(kernels::code_at(bw, i % BS, l), emax, l)
     }
 
     fn chunk_align(&self) -> usize {

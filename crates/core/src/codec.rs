@@ -206,8 +206,22 @@ pub(crate) fn encode_bits(bits: u64, emax: u32, l: u32, nearest: bool) -> u64 {
     (sign << (l - 1)) | field
 }
 
-/// Decode one `l`-bit code against its block exponent (shared by all
-/// storage paths; same math as `reference::decompress_value`).
+/// Decode one `l`-bit code against its block exponent (same math as
+/// `reference::decompress_value`): the normative per-value normalize.
+///
+/// The storage paths call it only for blocks that [`block_scale`]
+/// rejects. Every other block decodes arithmetically: a code is the
+/// sign plus an `l − 1`-bit integer `field` whose bit `l − 2` is the
+/// block's unit, so its value is `±field · 2^(emax − 1023 − (l − 2))`.
+/// With `l ≤ 54` the field is below `2^53` and converts to `f64`
+/// exactly; with `l − 1 ≤ emax ≤ 2046` the scale is a normal power of
+/// two, so the product is an exact scaling whose smallest nonzero
+/// result (`field = 1`, exponent `emax − (l − 2) ≥ 1`) is still normal
+/// and whose largest stays below `2^1024`. A normal result keeps all
+/// `l − 1 ≤ 53` field bits here too, so both rules return the same
+/// bits, `±0.0` included once the sign is OR-ed in ([`decode_scaled`]).
+/// Blocks outside that range (subnormal results, `l > 54`, corrupt or
+/// out-of-range exponent words) keep this function.
 #[inline(always)]
 pub(crate) fn decode_code(c: u64, emax: u32, l: u32) -> f64 {
     let sign = (c >> (l - 1)) & 1;
@@ -224,6 +238,35 @@ pub(crate) fn decode_code(c: u64, emax: u32, l: u32) -> f64 {
     } else {
         let m = shift_signed(field, l as i32 - 2 - 51 - emax as i32);
         f64::from_bits((sign << 63) | (m & MASK52))
+    }
+}
+
+/// The per-block scale `2^(emax − 1023 − (l − 2))` of the arithmetic
+/// decode, or `None` when the block must take [`decode_code`] (see there
+/// for why `l ≤ 54 && l − 1 ≤ emax ≤ 2046` makes the two agree).
+#[inline(always)]
+pub(crate) fn block_scale(emax: u32, l: u32) -> Option<f64> {
+    (l <= 54 && l - 1 <= emax && emax <= 2046)
+        .then(|| f64::from_bits(u64::from(emax + 2 - l) << 52))
+}
+
+/// Arithmetic decode of one code under its block's [`block_scale`]:
+/// `±field · scale`, the sign OR-ed in as a bit so `-0.0` survives.
+#[inline(always)]
+pub(crate) fn decode_scaled(c: u64, scale: f64, l: u32) -> f64 {
+    // `field < 2^53`: the signed conversion is exact and, unlike the
+    // unsigned one, a single instruction on x86-64.
+    let v = (c & mask64(l - 1)) as i64 as f64 * scale;
+    f64::from_bits(v.to_bits() | (((c >> (l - 1)) & 1) << 63))
+}
+
+/// Decode one code, choosing the rule from its block (for random access;
+/// the block kernels make the choice once per block instead).
+#[inline]
+pub(crate) fn decode_value(c: u64, emax: u32, l: u32) -> f64 {
+    match block_scale(emax, l) {
+        Some(scale) => decode_scaled(c, scale, l),
+        None => decode_code(c, emax, l),
     }
 }
 
@@ -314,17 +357,8 @@ pub fn get(cfg: Frsz2Config, words: &[u32], exps: &[u32], i: usize) -> f64 {
     let l = cfg.bits;
     let wpb = cfg.words_per_block();
     let b = i / bs;
-    let j = i % bs;
-    let emax = exps[b];
     let block_words = &words[b * wpb..(b + 1) * wpb];
-    let c = match l {
-        32 => block_words[j] as u64,
-        16 => ((block_words[j / 2] >> (((j & 1) as u32) * 16)) & 0xFFFF) as u64,
-        8 => ((block_words[j / 4] >> (((j & 3) as u32) * 8)) & 0xFF) as u64,
-        64 => block_words[2 * j] as u64 | ((block_words[2 * j + 1] as u64) << 32),
-        l => bitpack::read_bits(block_words, j * l as usize, l),
-    };
-    decode_code(c, emax, l)
+    decode_value(kernels::code_at(block_words, i % bs, l), exps[b], l)
 }
 
 /// An owned FRSZ2-compressed vector: code words plus the separate
@@ -571,6 +605,52 @@ mod tests {
             e32 <= e128 + 1e-300,
             "BS=32 ({e32}) worse than BS=128 ({e128})"
         );
+    }
+
+    /// The per-block rule: the arithmetic decode admits exactly the
+    /// blocks with `l <= 54 && l - 1 <= emax <= 2046`, and there returns
+    /// the normative bits for every code (both signs, zero fields, the
+    /// smallest and largest fields). Outside it — `emax` 0, below
+    /// `l - 1`, or a corrupt word past 2046 — [`decode_value`] is
+    /// [`decode_code`] itself.
+    #[test]
+    fn arithmetic_decode_domain_and_exactness() {
+        for l in 2u32..=64 {
+            let f = mask64(l - 1);
+            let fields = [0, 1, 2, 3, f >> 1, f - 1, f, f / 3].map(|x| x & f);
+            let near = [l - 2, l - 1, l, l + 1];
+            let far = [0, 1, 1023, 2045, 2046, 2047, 4095, u32::MAX];
+            for emax in near.into_iter().chain(far) {
+                let admitted = block_scale(emax, l).is_some();
+                assert_eq!(
+                    admitted,
+                    l <= 54 && l - 1 <= emax && emax <= 2046,
+                    "l={l} emax={emax}"
+                );
+                for field in fields {
+                    for sign in [0, 1] {
+                        let c = (sign << (l - 1)) | field;
+                        let normative = decode_code(c, emax, l);
+                        assert_eq!(
+                            decode_value(c, emax, l).to_bits(),
+                            normative.to_bits(),
+                            "l={l} emax={emax} c={c:#x}"
+                        );
+                        if (1..=2046).contains(&emax) {
+                            let r = reference::decompress_value(c, emax, l);
+                            assert_eq!(
+                                normative.to_bits(),
+                                r.to_bits(),
+                                "l={l} emax={emax} c={c:#x}"
+                            );
+                        }
+                        if admitted && field != 0 {
+                            assert!(normative.is_normal(), "l={l} emax={emax} c={c:#x}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! ```
 //!
 //! extracts it with two loads, one shift and one mask — no per-element
-//! branching on word boundaries and no intermediate decode tile, which
-//! is what the paper's §IV-B means by decompression "in registers".
-//! The one wrinkle is the block's final word: a field that lies
-//! entirely inside it must not gather the (nonexistent) word after the
-//! block, so each block loop is split at [`two_word_fields`] into a
-//! two-word prefix and a single-word suffix — a split computed once
-//! per block, never per element.
+//! branching on word boundaries and no decompressed copy of the column
+//! in memory, which is what the paper's §IV-B means by decompression
+//! "in registers". The one wrinkle is the block's final
+//! word: a field that lies entirely inside it must not gather the
+//! (nonexistent) word after the block, so each block loop is split at
+//! [`two_word_fields`] into a two-word prefix and a single-word suffix
+//! — a split computed once per block, never per element. A full paper
+//! block (`BS = 32`) of a monomorphized length is staged through a
+//! 32-entry stack tile instead ([`decode_full_block`]): its extraction
+//! unrolls with constant shifts and its decode runs lane-parallel.
 //!
 //! The same window runs in reverse for compression:
 //! [`pack_fields_le32`] accumulates codes into a `u64` staging register
@@ -36,22 +39,38 @@
 //! the window collapses at compile time to the direct single-load
 //! form (`⌊i·l/32⌋` and `i·l mod 32` are constant-foldable), keeping
 //! those instances as fast as hand-written aligned loops. Bit lengths
-//! above 32 take the wide-field path ([`wide_code`]) — still fused,
-//! still tile-free, just without the two-word window (a >32-bit field
-//! can straddle three words).
+//! above 32 take the wide-field path ([`code_at`]) — still fused,
+//! just without the two-word window (a >32-bit field can straddle
+//! three words).
+//!
+//! Every kernel reads a block through one driver, [`for_each_value`],
+//! so each block of a column is decoded the same way whichever kernel
+//! reads it.
 //!
 //! # Bit-identity contract
 //!
-//! These kernels change *how* codes are extracted, never *what* is
-//! computed from them: extraction is exact (the same code bits reach
-//! [`crate::codec::decode_code`]) and every accumulation visits
-//! elements in row order with one accumulator per output, exactly like
-//! the scalar reference loops they replace. Fused results are
-//! therefore bit-identical to decompress-then-BLAS — property-tested
-//! in `tests/fused_kernels.rs` and enforced at run time by the
+//! These kernels change *how* codes are extracted and decoded, never
+//! *what* value a code stands for: extraction is exact, and each block
+//! picks its decode rule once, from its exponent word and `l` alone.
+//! When `l ≤ 54 && l − 1 ≤ emax ≤ 2046` every nonzero value of the block
+//! is normal and the block decodes arithmetically as
+//! `±(field as f64) · 2^(emax − 1023 − (l − 2))`, with the scale built
+//! once per block and the sign OR-ed in as a bit (so `-0.0` survives).
+//! That is exact — the field is below `2^53`, the product is a
+//! power-of-two scaling, and no result leaves the normal range — so it
+//! returns the bits of the normative per-value normalize,
+//! [`crate::codec::decode_code`] (the argument is spelled out there),
+//! which every other block keeps: subnormal results, `l > 54`, and
+//! corrupt or out-of-range exponent words behave exactly as before.
+//! Every accumulation visits elements in row order with one
+//! accumulator per output, exactly like the scalar reference loops
+//! these kernels replace. Fused results are therefore bit-identical to
+//! decompress-then-BLAS — property-tested in `tests/fused_kernels.rs`
+//! (including blocks pinned at the rule's exponent boundaries, checked
+//! against `frsz2::reference`) and enforced at run time by the
 //! `bench_json` fused-vs-reference fingerprint groups.
 
-use crate::codec::{decode_code, encode_bits, Frsz2Config};
+use crate::codec::{block_scale, decode_code, decode_scaled, encode_bits, Frsz2Config};
 use crate::{bitpack, mask64};
 
 const MASK52: u64 = (1u64 << 52) - 1;
@@ -77,15 +96,17 @@ fn gather2(bw: &[u32], bitpos: usize) -> u64 {
     ((bw[p] as u64) | ((bw[p + 1] as u64) << 32)) >> (bitpos & 31)
 }
 
-/// Extract field `i` of a wide (`l > 32`) stream; may touch three
-/// words, so it goes through the generic bit reader.
+/// Code `i` of a block's words at any bit length, by direct loads for
+/// the word-aligned `l ∈ {16, 32, 64}` and the generic bit reader
+/// otherwise (a >32-bit field may touch three words). Random access and
+/// the wide (`l > 32`) block loops use it.
 #[inline(always)]
-fn wide_code(bw: &[u32], i: usize, l: u32) -> u64 {
-    if l == 64 {
-        // Word-aligned: two direct loads.
-        bw[2 * i] as u64 | ((bw[2 * i + 1] as u64) << 32)
-    } else {
-        bitpack::read_bits(bw, i * l as usize, l)
+pub(crate) fn code_at(bw: &[u32], i: usize, l: u32) -> u64 {
+    match l {
+        32 => bw[i] as u64,
+        16 => ((bw[i / 2] >> ((i as u32 & 1) * 16)) & 0xFFFF) as u64,
+        64 => bw[2 * i] as u64 | ((bw[2 * i + 1] as u64) << 32),
+        l => bitpack::read_bits(bw, i * l as usize, l),
     }
 }
 
@@ -115,27 +136,27 @@ fn resolve_l<const L: u32>(l_rt: u32) -> u32 {
     }
 }
 
-/// The decode loop core (`l <= 32`): feed `f(i, code_i)` the first
-/// `count` fields of one block, in row order. The `L ∈ {16, 32}`
-/// instances constant-fold to direct aligned loads; everything else
-/// runs the two-word window with the per-block prefix/suffix split.
+/// The extraction loop core: feed `f(i, code_i)` the first `count`
+/// fields of one block (`bw` = the block's full word span), in row
+/// order. The `L ∈ {16, 32}` instances constant-fold to direct aligned
+/// loads; other `l <= 32` run the two-word window with the per-block
+/// prefix/suffix split; `l > 32` reads each field with [`code_at`].
 #[inline(always)]
-fn for_each_code<const L: u32>(
-    l_rt: u32,
-    wpb: usize,
-    bw: &[u32],
-    count: usize,
-    mut f: impl FnMut(usize, u64),
-) {
+fn for_each_code<const L: u32>(l_rt: u32, bw: &[u32], count: usize, mut f: impl FnMut(usize, u64)) {
     let l = resolve_l::<L>(l_rt);
+    let wpb = bw.len();
     if L == 32 {
         // The window collapses to one direct load per field.
         for (i, &c) in bw[..count].iter().enumerate() {
             f(i, c as u64);
         }
+    } else if L == 0 && l > 32 {
+        for i in 0..count {
+            f(i, code_at(bw, i, l));
+        }
     } else {
         let m = mask64(l);
-        if L != 0 && count == 32 && bw.len() == L as usize {
+        if L != 0 && count == 32 && wpb == L as usize {
             // Full paper block (BS = 32) of a monomorphized length:
             // trip counts and every bit offset are compile-time
             // constants, so the unrolled loop has no per-element index
@@ -163,51 +184,130 @@ fn for_each_code<const L: u32>(
     }
 }
 
+/// Feed `f(i, vᵢ)` the first `count` decoded values of one block at
+/// exponent `emax`, in row order. The decode rule is chosen here, once
+/// per block: the arithmetic `±field · scale` when [`block_scale`]
+/// admits the block — through [`decode_full_block`] for a full paper
+/// block of a monomorphized length — and the normative [`decode_code`]
+/// otherwise (see the module's bit-identity contract).
+#[inline(always)]
+fn for_each_value_l<const L: u32>(
+    l_rt: u32,
+    bw: &[u32],
+    emax: u32,
+    count: usize,
+    mut f: impl FnMut(usize, f64),
+) {
+    let l = resolve_l::<L>(l_rt);
+    match block_scale(emax, l) {
+        Some(scale) if L != 0 && count == 32 && bw.len() == L as usize => {
+            for (i, &v) in decode_full_block::<L>(bw, scale).iter().enumerate() {
+                f(i, v);
+            }
+        }
+        Some(scale) => for_each_code::<L>(l, bw, count, |i, c| f(i, decode_scaled(c, scale, l))),
+        None => for_each_code::<L>(l, bw, count, |i, c| f(i, decode_code(c, emax, l))),
+    }
+}
+
+/// Decode a full paper block (BS = 32) of a monomorphized length
+/// `L <= 32` under its [`block_scale`] in two passes: all 32 codes are
+/// extracted first — the extraction loop fully unrolls, every word index
+/// and shift a compile-time constant — and the tile is then decoded as
+/// independent lanes, which the compiler vectorizes. Feeding values
+/// straight from the window instead leaves one variable shift and a
+/// scalar conversion on every element.
+#[inline(always)]
+fn decode_full_block<const L: u32>(bw: &[u32], scale: f64) -> [f64; 32] {
+    let mut codes = [0u32; 32];
+    for_each_code::<L>(L, bw, 32, |i, c| codes[i] = c as u32);
+    let mut vals = [0.0f64; 32];
+    for (v, &c) in vals.iter_mut().zip(&codes) {
+        *v = decode_scaled(u64::from(c), scale, L);
+    }
+    vals
+}
+
+/// [`for_each_value_l`] at a runtime bit length, dispatched to the
+/// monomorphized instances (`2 <= l <= 64`).
+#[inline(always)]
+fn for_each_value(l: u32, bw: &[u32], emax: u32, count: usize, f: impl FnMut(usize, f64)) {
+    dispatch_l!(l, for_each_value_l(l, bw, emax, count, f))
+}
+
 // ---------------------------------------------------------------------
-// Per-block primitives (l <= 32 window path).
+// Per-block entry points (any `l`; variable-rate stores pick `l` per
+// block). `bw` is exactly the block's full-block word span
+// (`words_per_block(l)`), zero-padded past the last code of a partial
+// trailing block.
 // ---------------------------------------------------------------------
 
-/// Decode one block's leading `out.len()` values from its packed words.
-#[inline(always)]
-fn decode_block_le32<const L: u32>(l_rt: u32, wpb: usize, bw: &[u32], emax: u32, out: &mut [f64]) {
-    let l = resolve_l::<L>(l_rt);
-    for_each_code::<L>(l, wpb, bw, out.len(), |i, c| {
-        out[i] = decode_code(c, emax, l);
-    });
+/// Decode one block's leading `out.len()` values.
+#[inline]
+pub(crate) fn decode_block(l: u32, bw: &[u32], emax: u32, out: &mut [f64]) {
+    for_each_value(l, bw, emax, out.len(), |i, v| out[i] = v);
 }
 
 /// Fused decompress-and-dot over one block: `acc += Σ_i vᵢ · wᵢ`,
-/// accumulating in row order (bit-compatible with decode-then-dot).
-#[inline(always)]
-fn dot_block_le32<const L: u32>(
-    l_rt: u32,
-    wpb: usize,
-    bw: &[u32],
-    emax: u32,
-    w: &[f64],
-    acc: &mut f64,
-) {
-    let l = resolve_l::<L>(l_rt);
+/// accumulating in row order (bit-compatible with [`decode_block`]
+/// followed by a plain dot).
+#[inline]
+pub(crate) fn dot_block(l: u32, bw: &[u32], emax: u32, w: &[f64], acc: &mut f64) {
     let mut a = *acc;
-    for_each_code::<L>(l, wpb, bw, w.len(), |i, c| {
-        a += decode_code(c, emax, l) * w[i];
-    });
+    for_each_value(l, bw, emax, w.len(), |i, v| a += v * w[i]);
     *acc = a;
 }
 
 /// Fused decompress-and-axpy over one block: `wᵢ += alpha · vᵢ`.
-#[inline(always)]
-fn axpy_block_le32<const L: u32>(
-    l_rt: u32,
-    wpb: usize,
+#[inline]
+pub(crate) fn axpy_block(l: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64]) {
+    for_each_value(l, bw, emax, w.len(), |i, v| w[i] += alpha * v);
+}
+
+/// Fused decompress-and-dots over one block against `nw` interleaved
+/// vectors: `accs[t] += Σ_i vᵢ · wrows[i·nw + t]` for `t <
+/// accs.len()`, each accumulator in row order (bit-compatible with
+/// [`dot_block`] per deinterleaved vector). `wrows` starts at the
+/// block's first row, pre-offset to the accumulator tile's vector 0.
+#[inline]
+pub(crate) fn dot_many_block(
+    l: u32,
     bw: &[u32],
     emax: u32,
-    alpha: f64,
-    w: &mut [f64],
+    wrows: &[f64],
+    nw: usize,
+    count: usize,
+    accs: &mut [f64],
 ) {
-    let l = resolve_l::<L>(l_rt);
-    for_each_code::<L>(l, wpb, bw, w.len(), |i, c| {
-        w[i] += alpha * decode_code(c, emax, l);
+    let tl = accs.len();
+    for_each_value(l, bw, emax, count, |i, v| {
+        for (a, &wv) in accs.iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
+            *a += v * wv;
+        }
+    });
+}
+
+/// Fused decompress-and-axpy over one block into `nw` interleaved
+/// vectors: `wrows[i·nw + t] += al[t] · vᵢ`, skipping `t` with
+/// `al[t] == 0.0` (signed-zero preservation, matching [`axpy_block`]
+/// per deinterleaved vector under [`gemv_chunk`]'s skip rule).
+#[inline]
+pub(crate) fn axpy_many_block(
+    l: u32,
+    bw: &[u32],
+    emax: u32,
+    al: &[f64],
+    wrows: &mut [f64],
+    nw: usize,
+    count: usize,
+) {
+    let tl = al.len();
+    for_each_value(l, bw, emax, count, |i, v| {
+        for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
+            if a != 0.0 {
+                *wv += a * v;
+            }
+        }
     });
 }
 
@@ -301,7 +401,7 @@ fn pack_fields_le32<const L: u32>(
 }
 
 // ---------------------------------------------------------------------
-// Chunk-level drivers (all bit lengths).
+// Chunk-level drivers (uniform stores: one `l` per column).
 // ---------------------------------------------------------------------
 
 /// Decompress `out.len()` values of a column starting at block-aligned
@@ -314,21 +414,11 @@ pub(crate) fn decode_range(
     row_start: usize,
     out: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
+    let (bs, l, wpb) = (cfg.block_size(), cfg.bits(), cfg.words_per_block());
     let first_block = row_start / bs;
     for (ob, chunk) in out.chunks_mut(bs).enumerate() {
         let b = first_block + ob;
-        let emax = exps[b];
-        let bw = &words[b * wpb..(b + 1) * wpb];
-        if l <= 32 {
-            dispatch_l!(l, decode_block_le32(l, wpb, bw, emax, chunk));
-        } else {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = decode_code(wide_code(bw, i, l), emax, l);
-            }
-        }
+        decode_block(l, &words[b * wpb..(b + 1) * wpb], exps[b], chunk);
     }
 }
 
@@ -341,23 +431,13 @@ pub(crate) fn dot_chunk(
     row_start: usize,
     w: &[f64],
 ) -> f64 {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
+    let (bs, l, wpb) = (cfg.block_size(), cfg.bits(), cfg.words_per_block());
     debug_assert_eq!(row_start % bs, 0);
     let first_block = row_start / bs;
     let mut acc = 0.0;
     for (ob, wc) in w.chunks(bs).enumerate() {
         let b = first_block + ob;
-        let emax = exps[b];
-        let bw = &words[b * wpb..(b + 1) * wpb];
-        if l <= 32 {
-            dispatch_l!(l, dot_block_le32(l, wpb, bw, emax, wc, &mut acc));
-        } else {
-            for (i, &wv) in wc.iter().enumerate() {
-                acc += decode_code(wide_code(bw, i, l), emax, l) * wv;
-            }
-        }
+        dot_block(l, &words[b * wpb..(b + 1) * wpb], exps[b], wc, &mut acc);
     }
     acc
 }
@@ -372,22 +452,12 @@ pub(crate) fn axpy_chunk(
     alpha: f64,
     w: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
+    let (bs, l, wpb) = (cfg.block_size(), cfg.bits(), cfg.words_per_block());
     debug_assert_eq!(row_start % bs, 0);
     let first_block = row_start / bs;
     for (ob, wc) in w.chunks_mut(bs).enumerate() {
         let b = first_block + ob;
-        let emax = exps[b];
-        let bw = &words[b * wpb..(b + 1) * wpb];
-        if l <= 32 {
-            dispatch_l!(l, axpy_block_le32(l, wpb, bw, emax, alpha, wc));
-        } else {
-            for (i, wv) in wc.iter_mut().enumerate() {
-                *wv += alpha * decode_code(wide_code(bw, i, l), emax, l);
-            }
-        }
+        axpy_block(l, &words[b * wpb..(b + 1) * wpb], exps[b], alpha, wc);
     }
 }
 
@@ -409,25 +479,21 @@ pub(crate) fn dots_chunk(
     w: &[f64],
     out: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
+    let (bs, l, wpb) = (cfg.block_size(), cfg.bits(), cfg.words_per_block());
     debug_assert_eq!(row_start % bs, 0);
     let first_block = row_start / bs;
     out[..k].fill(0.0);
     for (ob, wc) in w.chunks(bs).enumerate() {
         let b = first_block + ob;
         for (j, acc) in out[..k].iter_mut().enumerate() {
-            let emax = exps[j * col_blocks + b];
             let base = j * col_words + b * wpb;
-            let bw = &words[base..base + wpb];
-            if l <= 32 {
-                dispatch_l!(l, dot_block_le32(l, wpb, bw, emax, wc, acc));
-            } else {
-                for (i, &wv) in wc.iter().enumerate() {
-                    *acc += decode_code(wide_code(bw, i, l), emax, l) * wv;
-                }
-            }
+            dot_block(
+                l,
+                &words[base..base + wpb],
+                exps[j * col_blocks + b],
+                wc,
+                acc,
+            );
         }
     }
 }
@@ -450,9 +516,7 @@ pub(crate) fn gemv_chunk(
     alphas: &[f64],
     w: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
+    let (bs, l, wpb) = (cfg.block_size(), cfg.bits(), cfg.words_per_block());
     debug_assert_eq!(row_start % bs, 0);
     let first_block = row_start / bs;
     for (ob, wc) in w.chunks_mut(bs).enumerate() {
@@ -461,16 +525,8 @@ pub(crate) fn gemv_chunk(
             if a == 0.0 {
                 continue;
             }
-            let emax = exps[j * col_blocks + b];
             let base = j * col_words + b * wpb;
-            let bw = &words[base..base + wpb];
-            if l <= 32 {
-                dispatch_l!(l, axpy_block_le32(l, wpb, bw, emax, a, wc));
-            } else {
-                for (i, wv) in wc.iter_mut().enumerate() {
-                    *wv += a * decode_code(wide_code(bw, i, l), emax, l);
-                }
-            }
+            axpy_block(l, &words[base..base + wpb], exps[j * col_blocks + b], a, wc);
         }
     }
 }
@@ -493,63 +549,6 @@ const MANY_SUBWINDOW_BLOCKS: usize = 32;
 /// accumulation order is again unaffected.
 const MANY_NW_TILE: usize = 64;
 
-/// Fused decompress-and-dots over one block against `nw` interleaved
-/// vectors: `accs[t] += Σ_i vᵢ · wrows[i·nw + t]` for `t <
-/// accs.len()`, each accumulator in row order (bit-compatible with
-/// decode-then-dot per vector). `wrows` starts at the block's first
-/// row, already offset to the accumulator tile's first vector.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn dot_many_block_le32<const L: u32>(
-    l_rt: u32,
-    wpb: usize,
-    bw: &[u32],
-    emax: u32,
-    wrows: &[f64],
-    nw: usize,
-    count: usize,
-    accs: &mut [f64],
-) {
-    let l = resolve_l::<L>(l_rt);
-    let tl = accs.len();
-    for_each_code::<L>(l, wpb, bw, count, |i, c| {
-        let v = decode_code(c, emax, l);
-        let row = &wrows[i * nw..i * nw + tl];
-        for (a, &wv) in accs.iter_mut().zip(row) {
-            *a += v * wv;
-        }
-    });
-}
-
-/// Fused decompress-and-axpy over one block into `nw` interleaved
-/// vectors: `wrows[i·nw + t] += al[t] · vᵢ`, skipping `t` with
-/// `al[t] == 0.0` (signed-zero preservation, matching
-/// [`gemv_chunk`]'s contract per vector).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn axpy_many_block_le32<const L: u32>(
-    l_rt: u32,
-    wpb: usize,
-    bw: &[u32],
-    emax: u32,
-    al: &[f64],
-    wrows: &mut [f64],
-    nw: usize,
-    count: usize,
-) {
-    let l = resolve_l::<L>(l_rt);
-    let tl = al.len();
-    for_each_code::<L>(l, wpb, bw, count, |i, c| {
-        let v = decode_code(c, emax, l);
-        let row = &mut wrows[i * nw..i * nw + tl];
-        for (wv, &a) in row.iter_mut().zip(al) {
-            if a != 0.0 {
-                *wv += a * v;
-            }
-        }
-    });
-}
-
 /// Multi-column, multi-RHS fused dots:
 /// `out[j·nw + t] = Σ_i V[row_start + i, j] · ws[i·nw + t]` — the
 /// block-Arnoldi projection `H = VᵀW` over one row chunk, with `ws`
@@ -570,9 +569,7 @@ pub(crate) fn dots_many_chunk(
     nw: usize,
     out: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
+    let (bs, l, wpb) = (cfg.block_size(), cfg.bits(), cfg.words_per_block());
     debug_assert_eq!(row_start % bs, 0);
     debug_assert_eq!(ws.len() % nw, 0);
     let len = ws.len() / nw;
@@ -592,32 +589,16 @@ pub(crate) fn dots_many_chunk(
                 while off < sw_len {
                     let count = bs.min(sw_len - off);
                     let b = sb + off / bs;
-                    let emax = exps[j * col_blocks + b];
                     let base = j * col_words + b * wpb;
-                    let bw = &words[base..base + wpb];
-                    let wrows = &ws[(row0 + off) * nw + t0..];
-                    if l <= 32 {
-                        dispatch_l!(
-                            l,
-                            dot_many_block_le32(
-                                l,
-                                wpb,
-                                bw,
-                                emax,
-                                wrows,
-                                nw,
-                                count,
-                                &mut accs[..tl]
-                            )
-                        );
-                    } else {
-                        for i in 0..count {
-                            let v = decode_code(wide_code(bw, i, l), emax, l);
-                            for (a, &wv) in accs[..tl].iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
-                                *a += v * wv;
-                            }
-                        }
-                    }
+                    dot_many_block(
+                        l,
+                        &words[base..base + wpb],
+                        exps[j * col_blocks + b],
+                        &ws[(row0 + off) * nw + t0..],
+                        nw,
+                        count,
+                        &mut accs[..tl],
+                    );
                     off += count;
                 }
                 out[j * nw + t0..j * nw + t0 + tl].copy_from_slice(&accs[..tl]);
@@ -648,9 +629,7 @@ pub(crate) fn gemv_many_chunk(
     nw: usize,
     ws: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
+    let (bs, l, wpb) = (cfg.block_size(), cfg.bits(), cfg.words_per_block());
     debug_assert_eq!(row_start % bs, 0);
     debug_assert_eq!(ws.len() % nw, 0);
     let len = ws.len() / nw;
@@ -671,138 +650,20 @@ pub(crate) fn gemv_many_chunk(
                 while off < sw_len {
                     let count = bs.min(sw_len - off);
                     let b = sb + off / bs;
-                    let emax = exps[j * col_blocks + b];
                     let base = j * col_words + b * wpb;
-                    let bw = &words[base..base + wpb];
-                    let wrows = &mut ws[(row0 + off) * nw + t0..];
-                    if l <= 32 {
-                        dispatch_l!(
-                            l,
-                            axpy_many_block_le32(l, wpb, bw, emax, al, wrows, nw, count)
-                        );
-                    } else {
-                        for i in 0..count {
-                            let v = decode_code(wide_code(bw, i, l), emax, l);
-                            for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
-                                if a != 0.0 {
-                                    *wv += a * v;
-                                }
-                            }
-                        }
-                    }
+                    axpy_many_block(
+                        l,
+                        &words[base..base + wpb],
+                        exps[j * col_blocks + b],
+                        al,
+                        &mut ws[(row0 + off) * nw + t0..],
+                        nw,
+                        count,
+                    );
                     off += count;
                 }
             }
             row0 += sw_len;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-block entry points (variable-rate stores pick `l` per block).
-// ---------------------------------------------------------------------
-
-/// Decode one block's leading `out.len()` values for a per-block bit
-/// length (`2 <= l <= 64`). `bw` must be exactly the block's
-/// full-block word span (`words_per_block(l)`), zero-padded past the
-/// last code for partial trailing blocks.
-#[inline]
-pub(crate) fn decode_block(l: u32, bw: &[u32], emax: u32, out: &mut [f64]) {
-    if l <= 32 {
-        dispatch_l!(l, decode_block_le32(l, bw.len(), bw, emax, out));
-    } else {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = decode_code(wide_code(bw, i, l), emax, l);
-        }
-    }
-}
-
-/// Fused decompress-and-dot over one block at a per-block bit length:
-/// `acc += Σ_i vᵢ · wᵢ`, row order (bit-compatible with
-/// [`decode_block`] followed by a plain dot).
-#[inline]
-pub(crate) fn dot_block(l: u32, bw: &[u32], emax: u32, w: &[f64], acc: &mut f64) {
-    if l <= 32 {
-        dispatch_l!(l, dot_block_le32(l, bw.len(), bw, emax, w, acc));
-    } else {
-        for (i, &wv) in w.iter().enumerate() {
-            *acc += decode_code(wide_code(bw, i, l), emax, l) * wv;
-        }
-    }
-}
-
-/// Fused decompress-and-axpy over one block at a per-block bit length:
-/// `wᵢ += alpha · vᵢ`.
-#[inline]
-pub(crate) fn axpy_block(l: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64]) {
-    if l <= 32 {
-        dispatch_l!(l, axpy_block_le32(l, bw.len(), bw, emax, alpha, w));
-    } else {
-        for (i, wv) in w.iter_mut().enumerate() {
-            *wv += alpha * decode_code(wide_code(bw, i, l), emax, l);
-        }
-    }
-}
-
-/// Fused decompress-and-dots over one block at a per-block bit length
-/// against `nw` interleaved vectors: `accs[t] += Σ_i vᵢ ·
-/// wrows[i·nw + t]`, each accumulator in row order (bit-compatible
-/// with [`dot_block`] per deinterleaved vector). `wrows` starts at the
-/// block's first row, pre-offset to the accumulator tile's vector 0.
-#[inline]
-pub(crate) fn dot_many_block(
-    l: u32,
-    bw: &[u32],
-    emax: u32,
-    wrows: &[f64],
-    nw: usize,
-    count: usize,
-    accs: &mut [f64],
-) {
-    if l <= 32 {
-        dispatch_l!(
-            l,
-            dot_many_block_le32(l, bw.len(), bw, emax, wrows, nw, count, accs)
-        );
-    } else {
-        let tl = accs.len();
-        for i in 0..count {
-            let v = decode_code(wide_code(bw, i, l), emax, l);
-            for (a, &wv) in accs.iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
-                *a += v * wv;
-            }
-        }
-    }
-}
-
-/// Fused decompress-and-axpy over one block at a per-block bit length
-/// into `nw` interleaved vectors: `wrows[i·nw + t] += al[t] · vᵢ`,
-/// skipping zero coefficients (bit-compatible with [`axpy_block`] per
-/// deinterleaved vector).
-#[inline]
-pub(crate) fn axpy_many_block(
-    l: u32,
-    bw: &[u32],
-    emax: u32,
-    al: &[f64],
-    wrows: &mut [f64],
-    nw: usize,
-    count: usize,
-) {
-    if l <= 32 {
-        dispatch_l!(
-            l,
-            axpy_many_block_le32(l, bw.len(), bw, emax, al, wrows, nw, count)
-        );
-    } else {
-        let tl = al.len();
-        for i in 0..count {
-            let v = decode_code(wide_code(bw, i, l), emax, l);
-            for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
-                if a != 0.0 {
-                    *wv += a * v;
-                }
-            }
         }
     }
 }

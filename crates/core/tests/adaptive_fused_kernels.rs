@@ -204,6 +204,63 @@ fn mixed_length_column_rate_is_exact() {
     assert!((st.bits_per_value() - expect).abs() < 1e-12);
 }
 
+/// Blocks pinned at the exponent boundaries of every palette length's
+/// per-block decode rule (`emax ∈ {l − 2, l − 1, l}` for each palette
+/// `l`, plus 1 and 2046), at spreads that steer the selector to each
+/// palette length, and all-zero blocks of both signs. Every read path
+/// matches `frsz2::reference` at the block's chosen length, bit for
+/// bit, and both rules are exercised at every length that has two.
+#[test]
+fn exponent_boundary_blocks_bit_equal_reference() {
+    let rows: usize = 203;
+    let mut emaxes = vec![1, 2046];
+    for l in PALETTE {
+        emaxes.extend([l - 2, l - 1, l]);
+    }
+    // Spreads that pick l = 16, 16, 21, 32, 64 once emax leaves room.
+    let mut kinds: Vec<(u32, Option<u32>)> = emaxes
+        .iter()
+        .flat_map(|&e| [0, 8, 13, 20, 40].map(|s| (e, Some(s))))
+        .collect();
+    kinds.push((1, None));
+    let blocks = rows.div_ceil(32);
+    let cols = kinds.len().div_ceil(blocks);
+    let mut st = Frsz2AdaptiveStore::with_shape(rows, cols);
+    let mut rng = common::SplitMix(7);
+    // (l, emax) of every block, for the coverage check below.
+    let mut seen = Vec::new();
+    let mut decoded = Vec::new();
+    for j in 0..cols {
+        let col: Vec<f64> = (0..blocks)
+            .flat_map(|b| {
+                let (emax, spread) = kinds[(j * blocks + b) % kinds.len()];
+                common::boundary_block(emax, spread, 32.min(rows - 32 * b), &mut rng)
+            })
+            .collect();
+        st.write_column(j, &col);
+        let mut want = Vec::new();
+        for (b, chunk) in col.chunks(32).enumerate() {
+            let l = st.column_bit_lengths(j)[b] as u32;
+            let (emax, codes) = reference::compress_block(chunk, l, true);
+            assert_eq!(st.column_exponents(j)[b], emax, "col {j} block {b}");
+            want.extend(reference::decompress_block(emax, &codes, l));
+            seen.push((l, emax));
+        }
+        decoded.push(want);
+    }
+    for l in PALETTE {
+        assert!(
+            seen.iter().any(|&(bl, e)| bl == l && e < l - 1),
+            "no l={l} block below l - 1"
+        );
+        assert!(
+            seen.iter().any(|&(bl, e)| bl == l && e >= l - 1),
+            "no l={l} block at l - 1 or above"
+        );
+    }
+    common::kernels_match_decoded(&st, &decoded, &chunk_shapes(rows), "adaptive");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 

@@ -10,7 +10,7 @@
 
 mod common;
 
-use frsz2::{Frsz2Config, Frsz2Store};
+use frsz2::{reference, Frsz2Config, Frsz2Store, Frsz2Vector};
 use numfmt::ColumnStorage;
 /// The paper's evaluated lengths plus word-aligned and wide extremes;
 /// 4 and 64 exercise the shortest and the three-word-straddling paths.
@@ -169,5 +169,64 @@ fn many_vector_kernels_bit_equal_trait_defaults() {
     for l in [4, 8, 12, 16, 21, 27, 32, 40, 54, 64] {
         let st = store_with(l, rows, 5);
         common::many_kernels_match_trait_defaults(&st, &chunk_shapes(rows), &format!("l={l}"));
+    }
+}
+
+/// Block exponents at and around `l − 1`, the smallest `emax` at which
+/// the kernels decode a block arithmetically (below it a code can
+/// decode to a subnormal), plus the extremes a finite block can carry.
+fn boundary_emaxes(l: u32) -> [u32; 5] {
+    [1, (l - 2).max(1), l - 1, l, 2046]
+}
+
+/// Every bit length — `2..=54`, where the arithmetic per-block decode
+/// applies, and 64, where it never does — with blocks pinned at the
+/// decode rule's exponent boundaries, all-zero blocks of both signs,
+/// `-0.0` entries and subnormal-producing codes. Every read path of the
+/// store and of `Frsz2Vector` matches `frsz2::reference` bit for bit;
+/// the `wave` data above keeps every block far from these boundaries.
+#[test]
+fn exponent_boundary_blocks_bit_equal_reference() {
+    let rows = 203;
+    let cols = 5;
+    // Per column: how far below `emax` its nonzero values reach
+    // (2100 spans the whole range down to subnormals).
+    let spreads = [2, 12, 40, 60, 2100];
+    for l in (2..=54).chain([64]) {
+        let cfg = Frsz2Config::new(32, l);
+        let mut st = Frsz2Store::with_config(cfg, rows, cols);
+        let mut rng = common::SplitMix(u64::from(l));
+        let mut decoded = Vec::new();
+        for (j, spread) in spreads.into_iter().enumerate() {
+            let (mut col, mut want, mut emaxes) = (Vec::new(), Vec::new(), Vec::new());
+            for b in 0..rows.div_ceil(32) {
+                let len = 32.min(rows - 32 * b);
+                // Six block kinds, rotated per column so that one block
+                // row never holds the same kind twice.
+                let (emax, spread) = match (b + j) % 6 {
+                    5 => (1, None),
+                    kind => (boundary_emaxes(l)[kind], Some(spread)),
+                };
+                let block = common::boundary_block(emax, spread, len, &mut rng);
+                let (got, codes) = reference::compress_block(&block, l, true);
+                assert_eq!(got, emax, "l={l} col={j} block {b}");
+                want.extend(reference::decompress_block(emax, &codes, l));
+                emaxes.push(emax);
+                col.extend(block);
+            }
+            st.write_column(j, &col);
+            assert_eq!(st.column_exponents(j), &emaxes[..], "l={l} col={j}");
+            let v = Frsz2Vector::compress(cfg, &col);
+            for (i, (&got, &x)) in v.decompress().iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    x.to_bits(),
+                    "l={l} col={j} decompress row {i}"
+                );
+                assert_eq!(v.get(i).to_bits(), x.to_bits(), "l={l} col={j} get({i})");
+            }
+            decoded.push(want);
+        }
+        common::kernels_match_decoded(&st, &decoded, &chunk_shapes(rows), &format!("l={l}"));
     }
 }

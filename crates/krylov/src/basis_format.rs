@@ -35,7 +35,6 @@ use frsz2::{Frsz2AdaptiveStore, Frsz2Config, Frsz2Store};
 use lossy::RoundTripStore;
 use numfmt::{ColumnStorage, DenseStore, BF16, F16};
 use spla::SparseMatrix;
-use std::sync::Arc;
 
 /// An object-safe factory for Krylov-basis storage.
 ///
@@ -173,11 +172,10 @@ impl BasisFormat for RegisteredFormat {
             Backend::BF16 => Box::new(DenseStore::<BF16>::with_shape(rows, cols)),
             Backend::Frsz2(cfg) => Box::new(Frsz2Store::with_config(*cfg, rows, cols)),
             Backend::Frsz2Adaptive => Box::new(Frsz2AdaptiveStore::with_shape(rows, cols)),
-            Backend::Codec { name, .. } => {
-                let codec = lossy::registry::by_name(name)
-                    .unwrap_or_else(|| panic!("codec {name} vanished from the registry"));
-                Box::new(RoundTripStore::new(Arc::clone(&codec), rows, cols))
-            }
+            Backend::Codec { name, .. } => Box::new(
+                RoundTripStore::from_registry(name, rows, cols)
+                    .unwrap_or_else(|| panic!("codec {name} vanished from the registry")),
+            ),
         }
     }
 }

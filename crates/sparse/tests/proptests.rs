@@ -509,3 +509,96 @@ fn formats_spmv_bit_identical_across_thread_counts() {
         }
     }
 }
+
+/// Header and size lines a corrupted or forged `.mtx` file may carry:
+/// other formats and fields, missing or extra tokens, negative,
+/// non-numeric and overflowing sizes, and counts far beyond the data.
+const FORGED_LINES: [&str; 15] = [
+    "%%MatrixMarket matrix array real general",
+    "%%MatrixMarket matrix coordinate complex general",
+    "%%MatrixMarket matrix coordinate real skew-symmetric",
+    "%%MatrixMarket vector coordinate real general",
+    "%%MatrixMarket",
+    "",
+    "6 6",
+    "6 6 6 6",
+    "-1 6 3",
+    "6 x 3",
+    "6 6 36",
+    "4294967295 4294967295 18446744073709551615",
+    // nnz = rows·cols exactly: passes the count check, so only the
+    // reader's capped reservation stands between it and an overflow.
+    "4294967295 4294967295 18446744065119617025",
+    "18446744073709551615 18446744073709551615 1",
+    "4294967296 1 1",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `read_matrix_market` is total: random truncations, bit flips,
+    /// byte overwrites, forged header or size lines, and duplicated
+    /// lines of a valid file yield `Ok` or a typed `Err`, never a panic
+    /// (nor an allocation sized by an unchecked header count).
+    #[test]
+    fn matrix_market_read_is_total_under_mutation(
+        trips in triplets(6),
+        symmetric in 0u8..2,
+        mode in 0u8..5,
+        pos in 0usize..4096,
+        byte in 0u8..=255,
+    ) {
+        // Whole values sum exactly in any order, so mirrored
+        // duplicates keep a symmetric matrix exactly symmetric.
+        let mut coo = Coo::new(6, 6);
+        for &(r, c, v) in &trips {
+            coo.push(r, c, v.round());
+            if symmetric == 1 && r != c {
+                coo.push(c, r, v.round());
+            }
+        }
+        let a = coo.to_csr();
+        let symmetry = if symmetric == 1 { io::MmSymmetry::Symmetric } else { io::MmSymmetry::General };
+        let mut file = Vec::new();
+        io::write_matrix_market_with(&a, io::MmField::Real, symmetry, &mut file).unwrap();
+        let at = pos % file.len();
+        let mutated = match mode {
+            0 => file[..at].to_vec(),
+            1 => {
+                file[at] ^= 1 << (byte % 8);
+                file
+            }
+            2 => {
+                file[at] = byte;
+                file
+            }
+            3 => {
+                // Forge the header or the size line (the first line
+                // after the header that is not a comment).
+                let mut lines: Vec<&[u8]> = file.split(|&b| b == b'\n').collect();
+                let size = 1 + lines[1..].iter().position(|l| !l.starts_with(b"%")).unwrap();
+                let which = if pos % 2 == 0 { 0 } else { size };
+                lines[which] = FORGED_LINES[byte as usize % FORGED_LINES.len()].as_bytes();
+                lines.join(&b'\n')
+            }
+            _ => {
+                // Repeat one line: a second header, size line or entry.
+                let mut lines: Vec<&[u8]> = file.split(|&b| b == b'\n').collect();
+                let which = pos % lines.len();
+                lines.insert(which, lines[which]);
+                lines.join(&b'\n')
+            }
+        };
+        match io::read_matrix_market(BufReader::new(&mutated[..])) {
+            Ok(m) => {
+                // Every entry is one line and a symmetric one mirrors
+                // at most once.
+                prop_assert!(m.nnz() <= 2 * mutated.len());
+                for &(r, c, _) in m.entries() {
+                    prop_assert!((r as usize) < m.rows() && (c as usize) < m.cols());
+                }
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+    }
+}
